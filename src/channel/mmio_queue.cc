@@ -17,7 +17,7 @@ namespace {
  * Sync-variable tag for the consumed counter. Slot sync vars are
  * tagged with the slot's absolute index, which never reaches 2^64-1.
  */
-constexpr std::uint64_t kCounterSyncTag = ~0ULL;
+constexpr std::uint64_t kCounterSyncTag = check::HbRaceDetector::kCounterTag;
 
 std::uint64_t
 FromFlagBytes(const std::byte* data)
@@ -29,13 +29,25 @@ FromFlagBytes(const std::byte* data)
 
 }  // namespace
 
+void
+MmioQueue::RegisterWith(check::HbRaceDetector* hb) const
+{
+    WAVE_CHECK_HOOK({
+        if (hb != nullptr) {
+            hb->RegisterSync(this, layout_.Config().capacity);
+            hb->RegisterRegion(this, base_, SlotBytes());
+        }
+    });
+}
+
 // --- HostProducer ---
 
 HostProducer::HostProducer(MmioQueue& queue, pcie::PteType write_type,
                            pcie::PteType counter_read_type)
     : queue_(queue),
-      write_map_(queue.Dram(), write_type),
-      counter_map_(queue.Dram(), counter_read_type)
+      write_map_(queue.Dram(), write_type, queue.Base(), queue.SlotBytes()),
+      counter_map_(queue.Dram(), counter_read_type, queue.CounterAddr(),
+                   RingLayout::kFlagSize)
 {
 }
 
@@ -279,8 +291,9 @@ NicProducer::SendBatch(const std::vector<Bytes>& messages)
 HostConsumer::HostConsumer(MmioQueue& queue, pcie::PteType read_type,
                            pcie::PteType counter_write_type)
     : queue_(queue),
-      read_map_(queue.Dram(), read_type),
-      counter_map_(queue.Dram(), counter_write_type)
+      read_map_(queue.Dram(), read_type, queue.Base(), queue.SlotBytes()),
+      counter_map_(queue.Dram(), counter_write_type, queue.CounterAddr(),
+                   RingLayout::kFlagSize)
 {
 }
 

@@ -71,6 +71,20 @@ class MmioQueue {
         return base_ + layout_.ConsumedCounterOffset();
     }
 
+    /** Bytes of the slot array at Base(); the counter line follows. */
+    std::size_t
+    SlotBytes() const
+    {
+        return layout_.ConsumedCounterOffset();
+    }
+
+    /**
+     * Sizes @p hb's state for this ring: one sync slot per ring slot
+     * (plus the counter's) and the lines of the slot array. Both
+     * endpoints bind; the second call finds the same sizes.
+     */
+    void RegisterWith(check::HbRaceDetector* hb) const;
+
   private:
     pcie::NicDram& dram_;
     std::size_t base_;
@@ -119,11 +133,13 @@ class HostProducer {
      * endpoint's execution context; the binding is structural (one
      * actor per endpoint) because the simulator has no ambient
      * "current actor" across coroutine suspensions (see sim/actor.h).
+     * Binding also sizes the detector's state for this ring.
      */
     void
     BindCheckers(check::HbRaceDetector* hb,
                  check::ProtocolChecker* protocol, sim::ActorId actor)
     {
+        queue_.RegisterWith(hb);
         hb_ = hb;
         protocol_ = protocol;
         actor_ = actor;
@@ -175,6 +191,7 @@ class NicConsumer {
     BindCheckers(check::HbRaceDetector* hb,
                  check::ProtocolChecker* protocol, sim::ActorId actor)
     {
+        queue_.RegisterWith(hb);
         hb_ = hb;
         protocol_ = protocol;
         actor_ = actor;
@@ -225,6 +242,7 @@ class NicProducer {
     BindCheckers(check::HbRaceDetector* hb,
                  check::ProtocolChecker* protocol, sim::ActorId actor)
     {
+        queue_.RegisterWith(hb);
         hb_ = hb;
         protocol_ = protocol;
         actor_ = actor;
@@ -301,6 +319,7 @@ class HostConsumer {
     BindCheckers(check::HbRaceDetector* hb,
                  check::ProtocolChecker* protocol, sim::ActorId actor)
     {
+        queue_.RegisterWith(hb);
         hb_ = hb;
         protocol_ = protocol;
         actor_ = actor;

@@ -51,6 +51,14 @@ Violation::Describe() const
 }
 
 void
+CoherenceChecker::RegisterWindow(const void* region, std::size_t offset,
+                                 std::size_t n)
+{
+    if (n == 0) return;
+    lines_.Of(region).Cover(LineOf(offset), LineOf(offset + n - 1));
+}
+
+void
 CoherenceChecker::OnWrite(const void* region, Domain domain,
                           std::size_t offset, std::size_t n,
                           const char* site)
@@ -76,10 +84,11 @@ void
 CoherenceChecker::RecordRemoteWrite(const void* region, std::size_t offset,
                                     std::size_t n, const AccessSite& site)
 {
+    Window& window = lines_.Of(region);
     const std::size_t first = LineOf(offset);
     const std::size_t last = LineOf(offset + n - 1);
     for (std::size_t line = first; line <= last; ++line) {
-        LineState& state = State(region, line);
+        LineState& state = window.At(line);
         state.last_remote_write = site;
         if (state.host_cached) {
             state.stale = true;
@@ -95,11 +104,13 @@ CoherenceChecker::OnRead(const void* region, Domain domain,
 {
     stats_.reads += 1;
     if (n == 0) return;
+    Window* window = lines_.Find(region);
+    if (window == nullptr) return;
     const AccessSite read{site, domain, offset, n, sim_.Now()};
     const std::size_t first = LineOf(offset);
     const std::size_t last = LineOf(offset + n - 1);
     for (std::size_t line = first; line <= last; ++line) {
-        LineState* state = Find(region, line);
+        LineState* state = window->Find(line);
         if (state == nullptr) continue;
         if (domain == Domain::kHost && from_host_cache && state->stale) {
             if (tolerate_stale) {
@@ -121,7 +132,7 @@ void
 CoherenceChecker::OnCacheFill(const void* region, std::size_t line)
 {
     stats_.cache_fills += 1;
-    LineState& state = State(region, line);
+    LineState& state = lines_.Of(region).At(line);
     state.host_cached = true;
     state.stale = false;
 }
@@ -130,7 +141,8 @@ void
 CoherenceChecker::OnCacheDrop(const void* region, std::size_t line)
 {
     stats_.cache_drops += 1;
-    LineState* state = Find(region, line);
+    Window* window = lines_.Find(region);
+    LineState* state = window != nullptr ? window->Find(line) : nullptr;
     if (state == nullptr) return;
     state->host_cached = false;
     state->stale = false;
@@ -142,10 +154,11 @@ CoherenceChecker::OnWcBuffered(const void* region, std::size_t offset,
 {
     stats_.wc_buffered += 1;
     if (n == 0) return;
+    Window& window = lines_.Of(region);
     const std::size_t first = LineOf(offset);
     const std::size_t last = LineOf(offset + n - 1);
     for (std::size_t line = first; line <= last; ++line) {
-        LineState& state = State(region, line);
+        LineState& state = window.At(line);
         state.wc_pending = true;
         state.last_wc_store =
             AccessSite{site, Domain::kHost, offset, n, sim_.Now()};
@@ -158,10 +171,12 @@ CoherenceChecker::OnWcDrained(const void* region, std::size_t offset,
 {
     stats_.wc_drains += 1;
     if (n == 0) return;
+    Window* window = lines_.Find(region);
+    if (window == nullptr) return;
     const std::size_t first = LineOf(offset);
     const std::size_t last = LineOf(offset + n - 1);
     for (std::size_t line = first; line <= last; ++line) {
-        LineState* state = Find(region, line);
+        LineState* state = window->Find(line);
         if (state != nullptr) {
             state->wc_pending = false;
         }
@@ -208,7 +223,7 @@ CoherenceChecker::Report(ViolationKind kind, std::size_t line,
 void
 CoherenceChecker::Clear()
 {
-    lines_.clear();
+    lines_.ForEach([](Window& window) { window.Reset(); });
     violations_.clear();
     reported_.clear();
     stats_ = CheckerStats{};

@@ -40,10 +40,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "check/shadow.h"
 #include "sim/time.h"
 
 namespace wave::sim {
@@ -112,7 +112,8 @@ struct CheckerStats {
  * Regions are identified by an opaque tag (the instrumented layer
  * passes the address of its pcie::MemoryRegion), so this library does
  * not depend on the pcie model. Line granularity is 64 bytes, matching
- * pcie::PcieConfig::kLineSize.
+ * pcie::PcieConfig::kLineSize. Line state lives in one dense array per
+ * region spanning its registered windows (see check/shadow.h).
  */
 class CoherenceChecker {
   public:
@@ -122,6 +123,15 @@ class CoherenceChecker {
 
     CoherenceChecker(const CoherenceChecker&) = delete;
     CoherenceChecker& operator=(const CoherenceChecker&) = delete;
+
+    /**
+     * Adds the mapped window [offset, offset+n) of @p region to the
+     * extent of its line array. Called once per window at setup; the
+     * first hook that stores state allocates the whole array, which
+     * then never grows.
+     */
+    void RegisterWindow(const void* region, std::size_t offset,
+                        std::size_t n);
 
     // --- Instrumentation entry points (called by the models) ---
 
@@ -180,7 +190,7 @@ class CoherenceChecker {
     /** When true, the first violation panics instead of recording. */
     void SetFailFast(bool on) { fail_fast_ = on; }
 
-    /** Drops all recorded violations and line state. */
+    /** Drops all recorded violations and line state (windows persist). */
     void Clear();
 
   private:
@@ -193,41 +203,11 @@ class CoherenceChecker {
         AccessSite last_wc_store;
     };
 
-    /** Key for the (region, line) shadow map. */
-    struct LineKey {
-        const void* region;
-        std::size_t line;
-
-        bool
-        operator==(const LineKey& other) const
-        {
-            return region == other.region && line == other.line;
-        }
-    };
-
-    struct LineKeyHash {
-        std::size_t
-        operator()(const LineKey& key) const
-        {
-            return std::hash<const void*>()(key.region) ^
-                   (key.line * 0x9e3779b97f4a7c15ULL);
-        }
-    };
+    using Window = LineWindow<LineState>;
 
     static std::size_t LineOf(std::size_t offset)
     {
         return offset / kLineSize;
-    }
-
-    LineState& State(const void* region, std::size_t line)
-    {
-        return lines_[LineKey{region, line}];
-    }
-
-    LineState* Find(const void* region, std::size_t line)
-    {
-        auto it = lines_.find(LineKey{region, line});
-        return it == lines_.end() ? nullptr : &it->second;
     }
 
     void RecordRemoteWrite(const void* region, std::size_t offset,
@@ -236,7 +216,7 @@ class CoherenceChecker {
                 const AccessSite& read, const AccessSite& write);
 
     sim::Simulator& sim_;
-    std::unordered_map<LineKey, LineState, LineKeyHash> lines_;
+    ObjectTable<Window> lines_;
     std::vector<Violation> violations_;
     std::unordered_set<std::uint64_t> reported_;  ///< dedup keys
     CheckerStats stats_;

@@ -45,6 +45,25 @@ HbRaceDetector::RegisterActor(const char* label)
     return id;
 }
 
+void
+HbRaceDetector::RegisterSync(const void* obj, std::size_t slots)
+{
+    WAVE_ASSERT(slots > 0, "a sync table needs at least one slot");
+    SyncTable& table = syncs_.Of(obj);
+    WAVE_ASSERT(table.slots.empty() || table.ring_slots == slots,
+                "sync object sized with %zu slots, then registered with %zu",
+                table.ring_slots, slots);
+    table.ring_slots = slots;
+}
+
+void
+HbRaceDetector::RegisterRegion(const void* region, std::size_t offset,
+                               std::size_t n)
+{
+    if (n == 0) return;
+    lines_.Of(region).Cover(LineOf(offset), LineOf(offset + n - 1));
+}
+
 HbRaceDetector::VectorClock&
 HbRaceDetector::ClockOf(sim::ActorId actor)
 {
@@ -84,8 +103,9 @@ HbRaceDetector::OnAccess(sim::ActorId actor, const void* region,
     const std::uint64_t clock = vc[actor - 1];
     const std::size_t first = LineOf(offset);
     const std::size_t last = LineOf(offset + n - 1);
+    LineWindow<LineState>& window = lines_.Of(region);
     for (std::size_t line = first; line <= last; ++line) {
-        LineState& state = lines_[LineKey{region, line}];
+        LineState& state = window.At(line);
         const Epoch current{actor, clock, site, offset, n, sim_.Now()};
         if (state.allow_unordered) {
             stats_.allowed_unordered += 1;
@@ -126,7 +146,17 @@ HbRaceDetector::OnRelease(sim::ActorId actor, const void* obj,
 {
     stats_.releases += 1;
     VectorClock& vc = ClockOf(actor);
-    VectorClock& sync = sync_[SyncKey{obj, tag}];
+    SyncTable& table = syncs_.Of(obj);
+    if (table.slots.empty()) table.slots.resize(table.ring_slots + 1);
+    SyncSlot& slot = table.For(tag);
+    if (!slot.live || slot.tag != tag) {
+        // A new sync var (or one lapping the slot's old tag) starts
+        // from nothing and reuses the slot's clock storage.
+        std::fill(slot.clock.begin(), slot.clock.end(), 0);
+        slot.tag = tag;
+        slot.live = true;
+    }
+    VectorClock& sync = slot.clock;
     if (sync.size() < vc.size()) sync.resize(vc.size(), 0);
     for (std::size_t i = 0; i < vc.size(); ++i) {
         sync[i] = std::max(sync[i], vc[i]);
@@ -141,10 +171,13 @@ HbRaceDetector::OnAcquire(sim::ActorId actor, const void* obj,
                           std::uint64_t tag)
 {
     stats_.acquires += 1;
-    auto it = sync_.find(SyncKey{obj, tag});
-    if (it == sync_.end()) return;  // nothing released yet
+    SyncTable* table = syncs_.Find(obj);
+    if (table == nullptr || table->slots.empty()) return;
+    const SyncSlot& slot = table->For(tag);
+    // Nothing released under this tag yet, or a newer tag lapped it.
+    if (!slot.live || slot.tag != tag) return;
     VectorClock& vc = ClockOf(actor);
-    const VectorClock& sync = it->second;
+    const VectorClock& sync = slot.clock;
     if (vc.size() < sync.size()) vc.resize(sync.size(), 0);
     for (std::size_t i = 0; i < sync.size(); ++i) {
         vc[i] = std::max(vc[i], sync[i]);
@@ -158,8 +191,9 @@ HbRaceDetector::AllowUnordered(const void* region, std::size_t offset,
     if (n == 0) return;
     const std::size_t first = LineOf(offset);
     const std::size_t last = LineOf(offset + n - 1);
+    LineWindow<LineState>& window = lines_.Of(region);
     for (std::size_t line = first; line <= last; ++line) {
-        lines_[LineKey{region, line}].allow_unordered = true;
+        window.At(line).allow_unordered = true;
     }
 }
 
@@ -203,8 +237,13 @@ HbRaceDetector::Clear()
     for (VectorClock& vc : clocks_) {
         std::fill(vc.begin(), vc.end(), 0);
     }
-    lines_.clear();
-    sync_.clear();
+    lines_.ForEach([](LineWindow<LineState>& window) { window.Reset(); });
+    syncs_.ForEach([](SyncTable& table) {
+        for (SyncSlot& slot : table.slots) {
+            slot.live = false;
+            std::fill(slot.clock.begin(), slot.clock.end(), 0);
+        }
+    });
     races_.clear();
     reported_.clear();
     stats_ = HbStats{};

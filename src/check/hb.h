@@ -38,10 +38,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "check/shadow.h"
 #include "sim/actor.h"
 #include "sim/time.h"
 
@@ -99,10 +99,21 @@ struct HbStats {
  * the shared object); lines are 64 bytes, matching the PCIe model.
  * Sync variables are keyed by (object address, tag), so one queue can
  * carry an independent sync var per slot and one for its counter.
+ *
+ * Shadow state is dense and bounded (see check/shadow.h): each region
+ * keeps a line array over its registered lines, and each sync object a
+ * table of slots sized at registration, so memory does not grow with
+ * the number of messages.
  */
 class HbRaceDetector {
   public:
     static constexpr std::size_t kLineSize = 64;
+
+    /**
+     * The tag a ring's consumed counter is released and acquired
+     * under. It keeps a slot of its own in the ring's sync table.
+     */
+    static constexpr std::uint64_t kCounterTag = ~0ULL;
 
     explicit HbRaceDetector(sim::Simulator& sim) : sim_(sim) {}
 
@@ -113,6 +124,23 @@ class HbRaceDetector {
     sim::ActorId RegisterActor(const char* label);
 
     const sim::ActorRegistry& Actors() const { return actors_; }
+
+    /**
+     * Sizes the sync table of @p obj: tag t lives in slot t mod
+     * @p slots, kCounterTag in one more. A ring registers its capacity,
+     * so a slot is reused only when the producer laps it. An object
+     * never registered gets one slot. Repeat calls must agree. The
+     * table is allocated by the object's first release.
+     */
+    void RegisterSync(const void* obj, std::size_t slots);
+
+    /**
+     * Adds [offset, offset+n) of @p region to the extent of its line
+     * array, which the first access allocates whole. An unregistered
+     * region's array widens as accesses reach new lines.
+     */
+    void RegisterRegion(const void* region, std::size_t offset,
+                        std::size_t n);
 
     // --- Instrumentation entry points ---
 
@@ -131,7 +159,10 @@ class HbRaceDetector {
     /**
      * Acquire edge: actor @p actor observed sync var (@p obj, @p tag)
      * — e.g. a matching generation-flag poll, a counter refresh, a
-     * lock acquire, an MSI-X delivery.
+     * lock acquire, an MSI-X delivery. When the tag's slot holds
+     * another tag (never released, or lapped by a newer release) the
+     * acquire joins nothing: the bounded table can add reports, never
+     * hide one.
      */
     void OnAcquire(sim::ActorId actor, const void* obj, std::uint64_t tag);
 
@@ -151,7 +182,10 @@ class HbRaceDetector {
     /** When true, the first race panics instead of recording. */
     void SetFailFast(bool on) { fail_fast_ = on; }
 
-    /** Drops all recorded races and shadow state (actors persist). */
+    /**
+     * Drops all recorded races and shadow state (actors and registered
+     * sizes persist).
+     */
     void Clear();
 
   private:
@@ -174,43 +208,23 @@ class HbRaceDetector {
         bool allow_unordered = false;
     };
 
-    struct LineKey {
-        const void* region;
-        std::size_t line;
-
-        bool
-        operator==(const LineKey& other) const
-        {
-            return region == other.region && line == other.line;
-        }
+    /** One sync slot: the absolute tag released into it last. */
+    struct SyncSlot {
+        std::uint64_t tag = 0;
+        bool live = false;  ///< a release stored @c tag's clock here
+        VectorClock clock;
     };
 
-    struct LineKeyHash {
-        std::size_t
-        operator()(const LineKey& key) const
-        {
-            return std::hash<const void*>()(key.region) ^
-                   (key.line * 0x9e3779b97f4a7c15ULL);
-        }
-    };
+    /** A sync object's slots: one per ring slot, then kCounterTag's. */
+    struct SyncTable {
+        std::size_t ring_slots = 1;   ///< set by RegisterSync
+        std::vector<SyncSlot> slots;  ///< empty until the first release
 
-    struct SyncKey {
-        const void* obj;
-        std::uint64_t tag;
-
-        bool
-        operator==(const SyncKey& other) const
+        SyncSlot&
+        For(std::uint64_t tag)
         {
-            return obj == other.obj && tag == other.tag;
-        }
-    };
-
-    struct SyncKeyHash {
-        std::size_t
-        operator()(const SyncKey& key) const
-        {
-            return std::hash<const void*>()(key.obj) ^
-                   (key.tag * 0x9e3779b97f4a7c15ULL);
+            return tag == kCounterTag ? slots.back()
+                                      : slots[tag % (slots.size() - 1)];
         }
     };
 
@@ -230,8 +244,8 @@ class HbRaceDetector {
     sim::Simulator& sim_;
     sim::ActorRegistry actors_;
     std::vector<VectorClock> clocks_;  ///< indexed by actor id - 1
-    std::unordered_map<LineKey, LineState, LineKeyHash> lines_;
-    std::unordered_map<SyncKey, VectorClock, SyncKeyHash> sync_;
+    ObjectTable<LineWindow<LineState>> lines_;
+    ObjectTable<SyncTable> syncs_;
     std::vector<HbRace> races_;
     std::unordered_set<std::uint64_t> reported_;  ///< dedup keys
     HbStats stats_;

@@ -43,6 +43,8 @@ void
 NicDram::OnNicWrite(std::size_t offset, std::size_t n)
 {
     for (HostMmioMapping* mapping : host_mappings_) {
+        // A mapping caches only lines of its own window.
+        if (!mapping->CachesAny(offset, n)) continue;
         if (config_.coherent) {
             mapping->InvalidateLines(offset, n);
         } else {
@@ -52,17 +54,43 @@ NicDram::OnNicWrite(std::size_t offset, std::size_t n)
 }
 
 HostMmioMapping::HostMmioMapping(NicDram& dram, PteType type)
-    : dram_(dram), config_(dram.Config()), type_(type)
+    : HostMmioMapping(dram, type, 0, dram.Backing().Size())
+{
+}
+
+HostMmioMapping::HostMmioMapping(NicDram& dram, PteType type,
+                                 std::size_t offset, std::size_t n)
+    : dram_(dram),
+      config_(dram.Config()),
+      type_(type),
+      window_begin_(offset),
+      window_end_(offset + n),
+      first_line_(LineOf(offset))
 {
     WAVE_ASSERT(type != PteType::kWriteBack || config_.coherent,
                 "write-back host mappings of NIC DRAM require a coherent "
                 "interconnect");
-    dram.RegisterHostMapping(this);
+    WAVE_ASSERT(n > 0 && window_end_ <= dram.Backing().Size(),
+                "mapping window [%zu, %zu) outside NIC DRAM of %zu bytes",
+                offset, window_end_, dram.Backing().Size());
     // Pay the buffer capacities at setup time: a WC line holds at most
-    // kLineSize / kWordSize word stores, and the posted-buffer pool
-    // levels off at the number of concurrently in-flight bursts.
+    // kLineSize / kWordSize word stores, the posted-buffer pool levels
+    // off at the number of concurrently in-flight bursts, and a
+    // cacheable mapping holds at most every line of its window.
     wc_stores_.reserve(PcieConfig::kLineSize / PcieConfig::kWordSize);
     posted_pool_.reserve(16);
+    if (type == PteType::kWriteThrough || type == PteType::kWriteBack) {
+        cache_.resize(LineOf(window_end_ - 1) - first_line_ + 1);
+        dram.RegisterHostMapping(this);
+    }
+}
+
+void
+HostMmioMapping::CheckWindow(std::size_t offset, std::size_t n) const
+{
+    WAVE_ASSERT(offset >= window_begin_ && offset + n <= window_end_,
+                "access [%zu, %zu) outside mapping window [%zu, %zu)",
+                offset, offset + n, window_begin_, window_end_);
 }
 
 // wave-lifetime(caller-awaits)
@@ -70,6 +98,7 @@ sim::Task<>
 HostMmioMapping::Read(std::size_t offset, void* dst, std::size_t n,
                       bool tolerate_stale)
 {
+    CheckWindow(offset, n);
     // Reads must observe our own buffered WC stores; real WC reads are
     // unordered with the buffer, so Wave's queues always drain first.
     if (wc_active_) {
@@ -120,11 +149,11 @@ HostMmioMapping::ReadCachedWt(std::size_t offset, void* dst, std::size_t n,
     const std::size_t last_line = LineOf(offset + n - 1);
 
     for (std::size_t line = first_line; line <= last_line; ++line) {
-        auto it = cache_.find(line);
-        if (it != cache_.end() && !it->second.data.empty()) {
+        CacheLine& cl = Line(line);
+        if (cl.filled) {
             // Filled line in cache: a hit, possibly a stale one.
             stats_.cache_hits += 1;
-            if (it->second.nic_dirtied) stats_.stale_reads += 1;
+            if (cl.nic_dirtied) stats_.stale_reads += 1;
             WAVE_CHECK_HOOK({
                 if (auto* checker = dram_.Checker()) {
                     const LineSpan span = ClampToLine(line, offset, n);
@@ -138,16 +167,14 @@ HostMmioMapping::ReadCachedWt(std::size_t offset, void* dst, std::size_t n,
             co_await dram_.Sim().Delay(config_.cache_hit_ns);
             continue;
         }
-        if (it != cache_.end() &&
-            it->second.fill_done > dram_.Sim().Now()) {
+        if (cl.present && cl.fill_done > dram_.Sim().Now()) {
             // Prefetch in flight: wait for the remainder only.
             stats_.prefetch_hits += 1;
-            co_await dram_.Sim().Delay(it->second.fill_done -
-                                       dram_.Sim().Now());
-        } else if (it != cache_.end()) {
+            co_await dram_.Sim().Delay(cl.fill_done - dram_.Sim().Now());
+        } else if (cl.present) {
             // A completed prefetch whose snapshot event already landed
-            // would have non-empty data (handled above); an empty entry
-            // here means the snapshot races with us at this timestamp.
+            // would be filled (handled above); an unfilled entry here
+            // means the snapshot races with us at this timestamp.
             stats_.prefetch_hits += 1;
             co_await dram_.Sim().Delay(config_.cache_hit_ns);
         } else {
@@ -156,14 +183,14 @@ HostMmioMapping::ReadCachedWt(std::size_t offset, void* dst, std::size_t n,
             co_await dram_.Sim().Delay(config_.mmio_read_ns +
                                        ExtraPcieDelay());
         }
-        // Snapshot the line's current contents into the host cache. Use
-        // operator[] again: a clflush may have raced with the fill.
-        CacheLine& cl = cache_[line];
-        cl.data.resize(kLine);
+        // Snapshot the line's current contents into the host cache,
+        // whether or not a clflush raced with the fill.
         const std::size_t base = line * kLine;
         const std::size_t len =
             std::min(kLine, dram_.Backing().Size() - base);
         dram_.Backing().ReadRaw(base, cl.data.data(), len);
+        cl.present = true;
+        cl.filled = true;
         cl.nic_dirtied = false;
         cl.fill_done = dram_.Sim().Now();
         WAVE_CHECK_HOOK({
@@ -188,10 +215,10 @@ HostMmioMapping::ReadCachedWt(std::size_t offset, void* dst, std::size_t n,
         const std::size_t line = LineOf(offset + i);
         const std::size_t line_off = (offset + i) % kLine;
         const std::size_t chunk = std::min(kLine - line_off, n - i);
-        const auto it = cache_.find(line);
-        if (it != cache_.end() && !it->second.data.empty()) {
+        const CacheLine& cl = Line(line);
+        if (cl.filled) {
             std::memcpy(static_cast<std::byte*>(dst) + i,
-                        it->second.data.data() + line_off, chunk);
+                        cl.data.data() + line_off, chunk);
         } else {
             WAVE_ASSERT(config_.coherent,
                         "line vanished mid-read on a non-coherent link");
@@ -248,6 +275,7 @@ HostMmioMapping::PostStores(std::size_t offset, const void* src,
 sim::Task<>
 HostMmioMapping::Write(std::size_t offset, const void* src, std::size_t n)
 {
+    CheckWindow(offset, n);
     if (type_ == PteType::kWriteCombining) {
         // Stores accumulate in the combining buffer; leaving the current
         // line drains it, like hardware WC buffers.
@@ -300,9 +328,9 @@ HostMmioMapping::Write(std::size_t offset, const void* src, std::size_t n)
             const std::size_t line = LineOf(offset + i);
             const std::size_t line_off = (offset + i) % kLine;
             const std::size_t chunk = std::min(kLine - line_off, n - i);
-            auto it = cache_.find(line);
-            if (it != cache_.end() && !it->second.data.empty()) {
-                std::memcpy(it->second.data.data() + line_off,
+            CacheLine& cl = Line(line);
+            if (cl.filled) {
+                std::memcpy(cl.data.data() + line_off,
                             static_cast<const std::byte*>(src) + i, chunk);
             }
             i += chunk;
@@ -358,30 +386,31 @@ HostMmioMapping::Prefetch(std::size_t offset, std::size_t n)
     if (type_ != PteType::kWriteThrough && type_ != PteType::kWriteBack) {
         return;  // prefetch only helps cacheable mappings
     }
+    CheckWindow(offset, n);
     const std::size_t first_line = LineOf(offset);
     const std::size_t last_line = LineOf(offset + n - 1);
     for (std::size_t line = first_line; line <= last_line; ++line) {
-        auto it = cache_.find(line);
-        if (it != cache_.end()) continue;  // cached or already in flight
-        CacheLine& cl = cache_[line];
+        CacheLine& cl = Line(line);
+        if (cl.present) continue;  // cached or already in flight
         const sim::TimeNs fill_done =
             dram_.Sim().Now() + config_.mmio_read_ns + ExtraPcieDelay();
+        cl.present = true;
         cl.fill_done = fill_done;
         // Snapshot the line contents when the fill lands, so the data in
         // the host cache is as-of fill time even if read much later.
         dram_.Sim().ScheduleAt(fill_done, [this, line, fill_done] {
-            auto entry = cache_.find(line);
-            if (entry == cache_.end() || !entry->second.data.empty() ||
-                entry->second.fill_done != fill_done) {
+            CacheLine& entry = Line(line);
+            if (!entry.present || entry.filled ||
+                entry.fill_done != fill_done) {
                 return;  // clflushed or refilled in the meantime
             }
             constexpr std::size_t kLine = PcieConfig::kLineSize;
-            entry->second.data.resize(kLine);
             const std::size_t base = line * kLine;
             const std::size_t len =
                 std::min(kLine, dram_.Backing().Size() - base);
-            dram_.Backing().ReadRaw(base, entry->second.data.data(), len);
-            entry->second.nic_dirtied = false;
+            dram_.Backing().ReadRaw(base, entry.data.data(), len);
+            entry.filled = true;
+            entry.nic_dirtied = false;
             WAVE_CHECK_HOOK({
                 if (auto* checker = dram_.Checker()) {
                     checker->OnCacheFill(&dram_.Backing(), line);
@@ -395,11 +424,15 @@ HostMmioMapping::Prefetch(std::size_t offset, std::size_t n)
 sim::Task<>
 HostMmioMapping::Clflush(std::size_t offset, std::size_t n)
 {
+    CheckWindow(offset, n);
+    // Uncacheable and write-combining mappings have no lines to drop.
+    const bool cached = !cache_.empty();
     const std::size_t first_line = LineOf(offset);
     const std::size_t last_line = LineOf(offset + n - 1);
     sim::DurationNs cost = 0;
-    for (std::size_t line = first_line; line <= last_line; ++line) {
-        if (cache_.erase(line) > 0) {
+    for (std::size_t line = first_line; cached && line <= last_line;
+         ++line) {
+        if (Drop(Line(line))) {
             stats_.clflushes += 1;
             cost += config_.clflush_ns;
             WAVE_CHECK_HOOK({
@@ -422,10 +455,11 @@ HostMmioMapping::Clflush(std::size_t offset, std::size_t n)
 void
 HostMmioMapping::InvalidateLines(std::size_t offset, std::size_t n)
 {
-    const std::size_t first_line = LineOf(offset);
-    const std::size_t last_line = LineOf(offset + n - 1);
+    const std::size_t first_line = std::max(LineOf(offset), first_line_);
+    const std::size_t last_line =
+        std::min(LineOf(offset + n - 1), first_line_ + cache_.size() - 1);
     for (std::size_t line = first_line; line <= last_line; ++line) {
-        if (cache_.erase(line) > 0) {
+        if (Drop(Line(line))) {
             WAVE_CHECK_HOOK({
                 if (auto* checker = dram_.Checker()) {
                     checker->OnCacheDrop(&dram_.Backing(), line);
@@ -438,12 +472,13 @@ HostMmioMapping::InvalidateLines(std::size_t offset, std::size_t n)
 void
 HostMmioMapping::MarkNicDirtied(std::size_t offset, std::size_t n)
 {
-    const std::size_t first_line = LineOf(offset);
-    const std::size_t last_line = LineOf(offset + n - 1);
+    const std::size_t first_line = std::max(LineOf(offset), first_line_);
+    const std::size_t last_line =
+        std::min(LineOf(offset + n - 1), first_line_ + cache_.size() - 1);
     for (std::size_t line = first_line; line <= last_line; ++line) {
-        auto it = cache_.find(line);
-        if (it != cache_.end() && !it->second.data.empty()) {
-            it->second.nic_dirtied = true;
+        CacheLine& cl = Line(line);
+        if (cl.filled) {
+            cl.nic_dirtied = true;
         }
     }
 }

@@ -34,7 +34,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "pcie/config.h"
@@ -74,10 +73,14 @@ class NicDram {
     const PcieConfig& Config() const { return config_; }
     sim::Simulator& Sim() { return sim_; }
 
-    /** Registers a host mapping for coherence callbacks. */
+    /** Registers a caching host mapping for coherence callbacks. */
     void RegisterHostMapping(HostMmioMapping* mapping);
 
-    /** Called on every NIC-side store for coherent-mode invalidation. */
+    /**
+     * Called on every NIC-side store: invalidates (coherent link) or
+     * marks stale (PCIe) the host-cached copies of the stored lines.
+     * Only mappings whose window covers the range are visited.
+     */
     void OnNicWrite(std::size_t offset, std::size_t n);
 
     /**
@@ -125,11 +128,18 @@ struct MmioStats {
  * The host CPU's view of the NIC DRAM window, with PTE-type semantics.
  *
  * One mapping models one logical region (e.g. one queue); a host core
- * performs at most one access at a time through it.
+ * performs at most one access at a time through it, and only inside
+ * its window. A cacheable (WT/WB) mapping sizes its line cache to the
+ * window at construction.
  */
 class HostMmioMapping {
   public:
+    /** Maps the whole DRAM. */
     HostMmioMapping(NicDram& dram, PteType type);
+
+    /** Maps the window [offset, offset+n) of the DRAM. */
+    HostMmioMapping(NicDram& dram, PteType type, std::size_t offset,
+                    std::size_t n);
 
     /**
      * Demand read of [offset, offset+n). Applies UC or WT semantics.
@@ -164,16 +174,36 @@ class HostMmioMapping {
   private:
     friend class NicDram;
 
+    /** One window line of the WT cache. */
     struct CacheLine {
-        std::vector<std::byte> data;  ///< empty while fill is in flight
-        sim::TimeNs fill_done{};    ///< when an in-flight fill lands
-        bool nic_dirtied = false;     ///< NIC wrote since we cached it
+        std::array<std::byte, PcieConfig::kLineSize> data{};
+        sim::TimeNs fill_done{};   ///< when an in-flight fill lands
+        bool present = false;      ///< cached, or a fill is in flight
+        bool filled = false;       ///< data holds the line's bytes
+        bool nic_dirtied = false;  ///< NIC wrote since we cached it
     };
 
     static std::size_t LineOf(std::size_t offset)
     {
         return offset / PcieConfig::kLineSize;
     }
+
+    /** Cache entry of @p line, which must lie inside the window. */
+    CacheLine& Line(std::size_t line)
+    {
+        return cache_[line - first_line_];
+    }
+
+    /** Asserts [offset, offset+n) lies inside the window. */
+    void CheckWindow(std::size_t offset, std::size_t n) const;
+
+    /** True when the cache holds entries for lines of [offset, offset+n). */
+    bool CachesAny(std::size_t offset, std::size_t n) const
+    {
+        return LineOf(offset) < first_line_ + cache_.size() &&
+               LineOf(offset + n - 1) >= first_line_;
+    }
+
     static std::size_t WordsIn(std::size_t n)
     {
         return (n + PcieConfig::kWordSize - 1) / PcieConfig::kWordSize;
@@ -197,6 +227,20 @@ class HostMmioMapping {
     std::vector<std::byte> AcquirePostedBuf(std::size_t n);
     void RecyclePostedBuf(std::vector<std::byte>&& buf);
 
+    /**
+     * Empties @p cl, cancelling any fill in flight; false when it held
+     * nothing.
+     */
+    static bool Drop(CacheLine& cl)
+    {
+        if (!cl.present) return false;
+        cl.present = false;
+        cl.filled = false;
+        cl.nic_dirtied = false;
+        cl.fill_done = sim::TimeNs{};
+        return true;
+    }
+
     /** Hardware invalidation callback (coherent mode). */
     void InvalidateLines(std::size_t offset, std::size_t n);
 
@@ -208,8 +252,13 @@ class HostMmioMapping {
     PteType type_;
     MmioStats stats_;
 
-    // WT line cache, keyed by line index.
-    std::map<std::size_t, CacheLine> cache_;
+    std::size_t window_begin_;  ///< first byte of the mapped window
+    std::size_t window_end_;    ///< one past its last byte
+
+    // WT line cache: one entry per window line from first_line_ on;
+    // empty for uncacheable and write-combining mappings.
+    std::size_t first_line_;
+    std::vector<CacheLine> cache_;
 
     /**
      * Visibility time of the last posted burst. Injected latency spikes

@@ -60,6 +60,12 @@ WaveRuntime::AllocateDram(std::size_t bytes)
                 "NIC DRAM window exhausted");
     const std::size_t base = dram_bump_;
     dram_bump_ += aligned;
+    // Size the coherence checker's line state for the new window.
+    WAVE_CHECK_HOOK({
+        if (checker_ != nullptr) {
+            checker_->RegisterWindow(&dram_->Backing(), base, aligned);
+        }
+    });
     return base;
 }
 

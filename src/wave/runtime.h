@@ -212,6 +212,10 @@ class WaveRuntime {
 
     sim::Task<> RunAgent(AgentId id);
 
+    /**
+     * Carves a line-aligned window out of NIC DRAM and sizes the
+     * coherence checker's line state for it.
+     */
     std::size_t AllocateDram(std::size_t bytes);
 
     sim::Simulator& sim_;

@@ -63,11 +63,14 @@ class ShmQueue {
                 if (checker_ != nullptr) {
                     checker_->OnShmAccess(message.size());
                 }
-                // Entries never alias (absolute index), so each gets
-                // its own shadow line; the push is the release.
+                // Each slot is one shadow line. The fullness check
+                // above read the consumer's progress: the acquire that
+                // orders reusing a slot after its last read. The push
+                // is the release.
                 if (hb_ != nullptr) {
-                    hb_->OnAccess(producer_actor_, this,
-                                  sent_ * check::HbRaceDetector::kLineSize,
+                    hb_->OnAcquire(producer_actor_, this,
+                                   check::HbRaceDetector::kCounterTag);
+                    hb_->OnAccess(producer_actor_, this, SlotOffset(sent_),
                                   check::HbRaceDetector::kLineSize,
                                   /*is_write=*/true, "ShmQueue::Send");
                     hb_->OnRelease(producer_actor_, this, sent_);
@@ -99,12 +102,15 @@ class ShmQueue {
             if (checker_ != nullptr) {
                 checker_->OnShmAccess(out.size());
             }
+            // The pop publishes the consumer's progress (the counter
+            // release the producer's fullness check acquires).
             if (hb_ != nullptr) {
                 hb_->OnAcquire(consumer_actor_, this, received_);
-                hb_->OnAccess(consumer_actor_, this,
-                              received_ * check::HbRaceDetector::kLineSize,
+                hb_->OnAccess(consumer_actor_, this, SlotOffset(received_),
                               check::HbRaceDetector::kLineSize,
                               /*is_write=*/false, "ShmQueue::Poll");
+                hb_->OnRelease(consumer_actor_, this,
+                               check::HbRaceDetector::kCounterTag);
             }
             if (protocol_ != nullptr) {
                 protocol_->OnStreamRecv(this, received_,
@@ -133,13 +139,21 @@ class ShmQueue {
      * Attaches the protocol/HB checkers. The queue is SPSC by design;
      * each side is bound to one actor. Callers with several producing
      * contexts serialized by a lock bind them as one actor (a
-     * documented over-approximation, see docs/checker.md).
+     * documented over-approximation, see docs/checker.md). Binding
+     * sizes the detector's state for this ring's capacity.
      */
     void
     BindCheckers(check::HbRaceDetector* hb,
                  check::ProtocolChecker* protocol,
                  sim::ActorId producer_actor, sim::ActorId consumer_actor)
     {
+        WAVE_CHECK_HOOK({
+            if (hb != nullptr) {
+                hb->RegisterSync(this, capacity_);
+                hb->RegisterRegion(
+                    this, 0, capacity_ * check::HbRaceDetector::kLineSize);
+            }
+        });
         hb_ = hb;
         protocol_ = protocol;
         producer_actor_ = producer_actor;
@@ -151,6 +165,14 @@ class ShmQueue {
     std::uint64_t Consumed() const { return received_; }
 
   private:
+    /** The shadow line of the slot entry @p seq occupies. */
+    std::size_t
+    SlotOffset(std::uint64_t seq) const
+    {
+        return static_cast<std::size_t>(seq % capacity_) *
+               check::HbRaceDetector::kLineSize;
+    }
+
     sim::Simulator& sim_;
     std::size_t capacity_;
     ShmCosts costs_;

@@ -21,7 +21,11 @@
 #include <vector>
 
 #include "channel/dma_queue.h"
+#include "channel/mmio_queue.h"
+#include "check/coherence.h"
+#include "check/hb.h"
 #include "machine/cpu.h"
+#include "machine/machine.h"
 #include "offload/kernels.h"
 #include "offload/packet.h"
 #include "offload/pipeline.h"
@@ -30,6 +34,7 @@
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "stats/histogram.h"
+#include "wave/runtime.h"
 
 namespace wave {
 namespace {
@@ -218,6 +223,99 @@ TEST(AllocGuard, DmaQueueSendPollLoopIsAllocationFreeInSteadyState)
     EXPECT_EQ(polled,
               static_cast<std::uint64_t>(kWarmupRounds + kMeasuredRounds) *
                   8);
+}
+
+/**
+ * One round trip over a Wave deployment's MMIO queues: the host sends a
+ * message, the NIC polls it and echoes it back on the decision queue,
+ * and the host prefetches and polls the echo. Returns the echoed word.
+ */
+// wave-lifetime(caller-awaits)
+Task<std::uint64_t>
+WaveRoundTrip(Simulator& sim, HostToNicChannel& to_nic,
+              NicToHostChannel& to_host, const std::vector<Bytes>& batch,
+              Bytes& nic_buf, Bytes& host_buf)
+{
+    co_await to_nic.host->Send(batch);
+    while (!co_await to_nic.nic->PollInto(nic_buf)) {
+        co_await sim.Delay(100);  // posted stores still in flight
+    }
+    co_await to_host.nic->Send(nic_buf);
+    co_await to_host.host->PrefetchNext();
+    while (!co_await to_host.host->PollInto(host_buf,
+                                            /*flush_first=*/false)) {
+        co_await to_host.host->PrefetchNext();
+    }
+    std::uint64_t echoed = 0;
+    std::memcpy(&echoed, host_buf.data(), sizeof(echoed));
+    co_return echoed;
+}
+
+TEST(AllocGuard, WaveQueueRoundTripsAreAllocationFreeWithCheckers)
+{
+    // The Wave path as a deployment builds it: a runtime (with the
+    // coherence checker, protocol checker and HB detector attached when
+    // they are compiled in) and one queue in each direction. Warmup
+    // runs two full ring laps, so every slot's line, cache entry and
+    // sync slot has been touched once; the measured round trips, which
+    // include counter syncs, ring-full refreshes, clflushes and
+    // prefetch fills, must then stay off the heap.
+    constexpr std::size_t kCapacity = 64;
+    constexpr int kWarmup = 2 * static_cast<int>(kCapacity);
+    constexpr int kMeasured = 2048;
+
+    Simulator sim;
+    machine::Machine machine(sim);
+    WaveRuntime runtime(sim, machine, pcie::PcieConfig{},
+                        api::OptimizationConfig::Full());
+    const QueueConfig qc{
+        .capacity = kCapacity, .payload_size = 48, .sync_interval = 8};
+    HostToNicChannel to_nic = runtime.CreateHostToNicQueue(qc);
+    NicToHostChannel to_host = runtime.CreateNicToHostQueue(qc);
+
+    std::vector<Bytes> batch{Msg(0)};
+    int mismatches = 0;
+    std::uint64_t measured_allocs = ~0ull;
+    sim.Spawn([](Simulator& s, HostToNicChannel& h2n, NicToHostChannel& n2h,
+                 std::vector<Bytes>& b, int& bad,
+                 std::uint64_t& allocs) -> Task<> {
+        Bytes nic_buf;
+        Bytes host_buf;
+        for (std::uint64_t i = 0; i < kWarmup; ++i) {
+            std::memcpy(b[0].data(), &i, sizeof(i));
+            if (co_await WaveRoundTrip(s, h2n, n2h, b, nic_buf,
+                                       host_buf) != i) {
+                ++bad;
+            }
+        }
+        const AllocGuard guard;
+        for (std::uint64_t i = kWarmup; i < kWarmup + kMeasured; ++i) {
+            std::memcpy(b[0].data(), &i, sizeof(i));
+            if (co_await WaveRoundTrip(s, h2n, n2h, b, nic_buf,
+                                       host_buf) != i) {
+                ++bad;
+            }
+        }
+        allocs = guard.Allocations();
+    }(sim, to_nic, to_host, batch, mismatches, measured_allocs));
+    sim.Run();
+
+    EXPECT_EQ(measured_allocs, 0u)
+        << "warm Send/PollInto/PrefetchNext round trips should reuse the "
+           "checkers' shadow arrays, the WT line cache and pooled frames";
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_EQ(to_host.host->Consumed(),
+              static_cast<std::uint64_t>(kWarmup + kMeasured));
+    if (runtime.Hb() != nullptr) {
+        for (const auto& race : runtime.Hb()->Races()) {
+            ADD_FAILURE() << race.Describe();
+        }
+    }
+    if (runtime.Checker() != nullptr) {
+        for (const auto& violation : runtime.Checker()->Violations()) {
+            ADD_FAILURE() << violation.Describe();
+        }
+    }
 }
 
 offload::FiveTuple

@@ -10,7 +10,9 @@
  * aliasing bug no protocol edge orders) are caught with both access
  * sites attributed, while the correct single-producer flow — including
  * ring wraparound, where slot reuse is ordered only by the lazy
- * consumed-counter handshake — stays race-free.
+ * consumed-counter handshake — stays race-free. Last, the bounded sync
+ * tables: a lapped slot still exposes the race, and a ring's table is
+ * as large as its registered capacity.
  */
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "sim/simulator.h"
 #include "sim/task.h"
 #include "wave/runtime.h"
+#include "wave/shm_queue.h"
 
 namespace wave {
 namespace {
@@ -285,6 +288,72 @@ TEST(HbRaceDetector, SingleProducerConsumerFlowIsRaceFreeAcrossLaps)
     EXPECT_EQ(w.runtime.Hb()->Stats().writes, 12u);
     EXPECT_GT(w.runtime.Hb()->Stats().acquires, 0u);
     EXPECT_TRUE(w.runtime.Protocol()->Violations().empty());
+}
+
+// --- Bounded sync tables ----------------------------------------------
+
+TEST(HbRaceDetector, LappedSyncSlotStillReportsTheRace)
+{
+    sim::Simulator sim;
+    HbRaceDetector hb(sim);
+    const sim::ActorId producer = hb.RegisterActor("producer");
+    const sim::ActorId consumer = hb.RegisterActor("consumer");
+    constexpr std::size_t kCapacity = 4;
+    int ring = 0;
+    hb.RegisterSync(&ring, kCapacity);
+    hb.RegisterRegion(&ring, 0, kCapacity * HbRaceDetector::kLineSize);
+
+    RunToCompletion(sim, [&]() -> sim::Task<> {
+        hb.OnAccess(producer, &ring, 0, 8, true, "publish-t");
+        hb.OnRelease(producer, &ring, /*tag=*/0);
+        co_await sim.Delay(100);
+        // SEEDED BUG: the producer laps slot 0 (tag t + capacity) before
+        // the consumer has taken tag t, overwriting the payload.
+        hb.OnAccess(producer, &ring, 0, 8, true, "publish-t+capacity");
+        hb.OnRelease(producer, &ring, /*tag=*/kCapacity);
+        co_await sim.Delay(100);
+        // The late acquire of tag t finds t + capacity in the slot and
+        // joins nothing, so the overwrite stays unordered.
+        hb.OnAcquire(consumer, &ring, /*tag=*/0);
+        hb.OnAccess(consumer, &ring, 0, 8, false, "consume-t");
+    });
+
+    ASSERT_FALSE(hb.Races().empty());
+    const auto& race = hb.Races().front();
+    EXPECT_STREQ(race.first.label, "publish-t+capacity");
+    EXPECT_STREQ(race.second.label, "consume-t");
+}
+
+TEST(HbRaceDetector, LargeRingTableCoversItsCapacityAcrossLaps)
+{
+    sim::Simulator sim;
+    HbRaceDetector hb(sim);
+    check::ProtocolChecker protocol(sim);
+    // Shaped like the shm transport's 4096-entry message queue. Bursts
+    // of 1000 run the producer far more than 256 entries ahead of the
+    // consumer, so a table of any fixed size below the capacity would
+    // lap tags the consumer has yet to acquire and report races.
+    ShmQueue queue(sim, 4096);
+    queue.BindCheckers(&hb, &protocol, hb.RegisterActor("host-producer"),
+                       hb.RegisterActor("host-consumer"));
+
+    RunToCompletion(sim, [&]() -> sim::Task<> {
+        const std::vector<std::vector<std::byte>> burst(
+            1000, std::vector<std::byte>(8));
+        for (int round = 0; round < 5; ++round) {  // 5000: over a lap
+            EXPECT_EQ(co_await queue.Send(burst), burst.size());
+            for (std::size_t i = 0; i < burst.size(); ++i) {
+                EXPECT_TRUE((co_await queue.Poll()).has_value());
+            }
+        }
+    });
+
+    for (const auto& race : hb.Races()) {
+        ADD_FAILURE() << race.Describe();
+    }
+    EXPECT_EQ(hb.Stats().writes, 5000u);
+    EXPECT_EQ(hb.Stats().reads, 5000u);
+    EXPECT_TRUE(protocol.Violations().empty());
 }
 
 }  // namespace

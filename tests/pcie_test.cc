@@ -245,6 +245,95 @@ TEST(Mmio, EarlyDemandReadWaitsOnlyForPrefetchRemainder)
     EXPECT_EQ(map.Stats().prefetch_hits, 1u);
 }
 
+// --- In-flight WT cache states ---------------------------------------
+
+TEST(Mmio, ClflushDuringPrefetchDropsTheLanding)
+{
+    Simulator sim;
+    PcieConfig cfg;
+    NicDram dram(sim, cfg, 4096);
+    HostMmioMapping host(dram, PteType::kWriteThrough);
+    NicLocalMapping nic(dram, PteType::kWriteBack);
+    const std::uint64_t old_value = 1;
+    dram.Backing().WriteRaw(0, &old_value, sizeof(old_value));
+
+    RunSim(sim, [](Simulator& s, HostMmioMapping& h, NicLocalMapping& n,
+                   const PcieConfig& c) -> Task<> {
+        h.Prefetch(0, 8);
+        co_await s.Delay(100);
+        co_await h.Clflush(0, 8);  // the fill is still in flight
+        co_await s.Delay(c.mmio_read_ns);  // past the dropped landing
+        const std::uint64_t newer = 2;
+        co_await n.Write(0, &newer, sizeof(newer));
+        std::uint64_t out = 0;
+        co_await h.Read(0, &out, sizeof(out));
+        EXPECT_EQ(out, 2u) << "a dropped landing must not fill the line";
+    }(sim, host, nic, cfg));
+    EXPECT_EQ(host.Stats().clflushes, 1u);
+    EXPECT_EQ(host.Stats().pcie_reads, 1u);  // the read was a miss
+    EXPECT_EQ(host.Stats().cache_hits, 0u);
+    EXPECT_EQ(host.Stats().prefetch_hits, 0u);
+}
+
+TEST(Mmio, PrefetchAfterClflushIgnoresTheEarlierLanding)
+{
+    Simulator sim;
+    PcieConfig cfg;
+    NicDram dram(sim, cfg, 4096);
+    HostMmioMapping host(dram, PteType::kWriteThrough);
+    NicLocalMapping nic(dram, PteType::kWriteBack);
+    const std::uint64_t old_value = 1;
+    dram.Backing().WriteRaw(0, &old_value, sizeof(old_value));
+
+    RunSim(sim, [](Simulator& s, HostMmioMapping& h, NicLocalMapping& n,
+                   const PcieConfig& c) -> Task<> {
+        const TimeNs first_fill = s.Now() + c.mmio_read_ns;
+        h.Prefetch(0, 8);
+        co_await s.Delay(100);
+        co_await h.Clflush(0, 8);
+        co_await s.Delay(100);
+        h.Prefetch(0, 8);  // a second fill, landing after the first
+        // The NIC stores between the two landings. Had the first one
+        // filled the line, the second would find it filled and the
+        // read below would return the old bytes.
+        co_await s.Delay(first_fill - s.Now() + 1);
+        const std::uint64_t newer = 2;
+        co_await n.Write(0, &newer, sizeof(newer));
+        co_await s.Delay(c.mmio_read_ns);  // the second fill has landed
+        std::uint64_t out = 0;
+        co_await h.Read(0, &out, sizeof(out));
+        EXPECT_EQ(out, 2u) << "the first landing's fill_done differs";
+    }(sim, host, nic, cfg));
+    EXPECT_EQ(host.Stats().cache_hits, 1u);
+    EXPECT_EQ(host.Stats().stale_reads, 0u);
+    EXPECT_EQ(host.Stats().pcie_reads, 0u);
+}
+
+TEST(Mmio, NicStoreDuringInFlightFillDoesNotDirtyTheLine)
+{
+    Simulator sim;
+    PcieConfig cfg;
+    NicDram dram(sim, cfg, 4096);
+    HostMmioMapping host(dram, PteType::kWriteThrough);
+    NicLocalMapping nic(dram, PteType::kWriteBack);
+
+    RunSim(sim, [](Simulator& s, HostMmioMapping& h, NicLocalMapping& n,
+                   const PcieConfig& c) -> Task<> {
+        h.Prefetch(0, 8);
+        co_await s.Delay(100);
+        // Nothing is cached yet, so nothing can go stale: the landing
+        // snapshots the stored bytes.
+        const std::uint64_t decision = 7;
+        co_await n.Write(0, &decision, sizeof(decision));
+        co_await s.Delay(c.mmio_read_ns);
+        std::uint64_t out = 0;
+        co_await h.Read(0, &out, sizeof(out));
+        EXPECT_EQ(out, 7u);
+    }(sim, host, nic, cfg));
+    EXPECT_EQ(host.Stats().cache_hits, 1u);
+    EXPECT_EQ(host.Stats().stale_reads, 0u);
+}
+
 TEST(Mmio, WriteCombiningBatchesStoresUntilSfence)
 {
     Simulator sim;

@@ -51,6 +51,7 @@ const char* const kCheckerCallRe =
     "OnTaskState|OnCommitDecision|OnWatchdogArmed|"
     "OnWatchdogExpired|OnWatchdogFed|"
     "OnAccess|OnRelease|OnAcquire|RegisterActor|AllowUnordered|"
+    "RegisterSync|RegisterRegion|RegisterWindow|"
     "AttachChecker|AttachCheckers|AttachProtocol|AttachHb|"
     "BindCheckers"
     R"()\s*\()";
