@@ -26,6 +26,20 @@ class MemoryRegion {
 
     std::size_t Size() const { return data_.size(); }
 
+    /**
+     * Extends the region to @p size bytes, which must not be smaller
+     * than Size(). Existing bytes keep their values and the new bytes
+     * read as zero. Setup-time only: offsets stay valid, pointers into
+     * the old storage do not.
+     */
+    void
+    Grow(std::size_t size)
+    {
+        WAVE_ASSERT(size >= data_.size(), "region of %zu bytes cannot shrink "
+                    "to %zu", data_.size(), size);
+        data_.resize(size);
+    }
+
     /** Raw copy out of the region (no simulated cost). */
     void
     ReadRaw(std::size_t offset, void* dst, std::size_t n) const

@@ -2,6 +2,7 @@
 #include "rpc/rpc_experiment.h"
 
 #include <deque>
+#include <utility>
 
 #include "ghost/agent.h"
 #include "ghost/kernel.h"
@@ -256,21 +257,21 @@ RunRpcExperiment(const RpcExperimentConfig& cfg)
 double
 FindRpcSaturation(const RpcExperimentConfig& base, double start_rps,
                   double end_rps, double step_rps,
-                  sim::DurationNs p99_slo_ns, double efficiency)
+                  sim::DurationNs p99_slo_ns, double efficiency,
+                  std::vector<workload::LadderPoint>* visited)
 {
-    double best = 0;
-    for (double rps = start_rps; rps <= end_rps + 1; rps += step_rps) {
-        RpcExperimentConfig cfg = base;
-        cfg.offered_rps = rps;
-        const RpcExperimentResult r = RunRpcExperiment(cfg);
-        if (r.achieved_rps >= efficiency * rps &&
-            r.get_p99 <= p99_slo_ns) {
-            best = std::max(best, r.achieved_rps);
-        } else if (best > 0) {
-            break;
-        }
-    }
-    return best;
+    workload::LadderWalk walk =
+        workload::WalkLadder(start_rps, end_rps, step_rps, [&](double rps) {
+            RpcExperimentConfig cfg = base;
+            cfg.offered_rps = rps;
+            const RpcExperimentResult r = RunRpcExperiment(cfg);
+            return workload::LadderPoint{
+                rps, r.achieved_rps,
+                r.achieved_rps >= efficiency * rps && r.get_p99 <= p99_slo_ns,
+                r.event_hash};
+        });
+    if (visited != nullptr) *visited = std::move(walk.points);
+    return walk.saturation_rps;
 }
 
 }  // namespace wave::rpc

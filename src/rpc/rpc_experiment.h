@@ -22,8 +22,11 @@
 // wave-domain: host
 #pragma once
 
+#include <vector>
+
 #include "pcie/config.h"
 #include "sim/time.h"
+#include "workload/ladder.h"
 #include "workload/sched_experiment.h"
 
 namespace wave::rpc {
@@ -86,11 +89,15 @@ RpcExperimentResult RunRpcExperiment(const RpcExperimentConfig& cfg);
 /**
  * Sweeps offered load and returns the saturation throughput: the
  * highest achieved rate whose achieved stays within @p efficiency of
- * offered and whose GET p99 stays below @p p99_slo_ns.
+ * offered and whose GET p99 stays below @p p99_slo_ns. Independent
+ * load points run on parallel threads (see workload/ladder.h); the
+ * answer is the serial walk's. @p visited, when given, receives the
+ * walk's points.
  */
 double FindRpcSaturation(const RpcExperimentConfig& base, double start_rps,
                          double end_rps, double step_rps,
                          sim::DurationNs p99_slo_ns = 500'000,
-                         double efficiency = 0.97);
+                         double efficiency = 0.97,
+                         std::vector<workload::LadderPoint>* visited = nullptr);
 
 }  // namespace wave::rpc

@@ -1,6 +1,6 @@
 // wave-domain: neutral
 // wave-hot
-// wave-shared(per-process frame-recycling free lists behind global operator new/delete; single-threaded by design today, and a sharded executor gives each shard its own arena before frames are shared)
+// wave-shared(per-thread frame-recycling free lists behind the promise-level operator new/delete; each thread recycles only its own blocks, so concurrent deployments on separate threads share nothing here)
 #include "sim/frame_pool.h"
 
 #include <new>
@@ -28,11 +28,38 @@ struct FreeNode {
     FreeNode* next;
 };
 
-// Single-threaded by design (the simulator core never shares frames
-// across threads); see the file comment.
-FreeNode* g_free_lists[kNumClasses];
-std::uint64_t g_reuses = 0;
-std::uint64_t g_oversized = 0;
+// Per-thread, zero-initialized and trivially destructible, so the
+// frame fast paths below pay no TLS-initialisation guard.
+thread_local FreeNode* t_free_lists[kNumClasses];
+thread_local std::uint64_t t_reuses = 0;
+thread_local std::uint64_t t_oversized = 0;
+
+/**
+ * Hands the thread's pooled blocks back to the heap when the thread
+ * exits. Only the fresh-heap path touches it (its first use on a
+ * thread registers the destructor), so its TLS guard never runs on a
+ * recycled alloc or on a free.
+ */
+struct PoolRelease {
+    PoolRelease() = default;
+    PoolRelease(const PoolRelease&) = delete;
+    PoolRelease& operator=(const PoolRelease&) = delete;
+
+    ~PoolRelease()
+    {
+        for (FreeNode*& head : t_free_lists) {
+            while (FreeNode* node = head) {
+                head = node->next;
+                ::operator delete(node);
+            }
+        }
+    }
+
+    /** Marks the object used, so this thread runs the destructor. */
+    void Arm() {}
+};
+
+thread_local PoolRelease t_release;
 
 void*
 Stamp(void* raw, std::size_t cls)
@@ -48,15 +75,16 @@ AllocFrame(std::size_t bytes)
 {
     const std::size_t total = bytes + kHeaderBytes;
     if (total > kMaxPooledBytes) {
-        ++g_oversized;
+        ++t_oversized;
         return Stamp(::operator new(total), kNumClasses);
     }
     const std::size_t cls = (total + kGranularity - 1) / kGranularity - 1;
-    if (FreeNode* node = g_free_lists[cls]) {
-        g_free_lists[cls] = node->next;
-        ++g_reuses;
+    if (FreeNode* node = t_free_lists[cls]) {
+        t_free_lists[cls] = node->next;
+        ++t_reuses;
         return Stamp(node, cls);
     }
+    t_release.Arm();  // this block may end up pooled on this thread
     return Stamp(::operator new((cls + 1) * kGranularity), cls);
 }
 
@@ -71,20 +99,20 @@ FreeFrame(void* frame) noexcept
         return;
     }
     auto* node = static_cast<FreeNode*>(raw);
-    node->next = g_free_lists[cls];
-    g_free_lists[cls] = node;
+    node->next = t_free_lists[cls];
+    t_free_lists[cls] = node;
 }
 
 std::uint64_t
 FramePoolReuses()
 {
-    return g_reuses;
+    return t_reuses;
 }
 
 std::uint64_t
 FramePoolOversized()
 {
-    return g_oversized;
+    return t_oversized;
 }
 
 }  // namespace wave::sim::detail

@@ -7,14 +7,19 @@
  * allocates frames at event rate. The pool intercepts the promise-level
  * operator new/delete: frames recycle through per-size-class free lists
  * after the first allocation, making steady-state frame churn
- * allocation-free. Like the simulator itself the pool is
- * single-threaded by design — wave_analyze's W103 enforces that no
- * locking creeps into this layer.
+ * allocation-free.
  *
- * Blocks are never returned to the OS; a long run reaches its
- * high-water mark of simultaneously-live frames per size class and
- * stays there. Pooled blocks remain reachable through the class free
- * lists, so leak checkers see "still reachable", not leaks.
+ * Each thread has its own free lists and counters. A simulator and
+ * every frame it creates live on one thread, so independent
+ * deployments on separate threads (the saturation ladder's load
+ * points) share nothing here and need no locking — wave_analyze's W103
+ * enforces that none creeps into this layer.
+ *
+ * While a thread lives its blocks are never returned to the heap: a
+ * long run reaches its high-water mark of simultaneously-live frames
+ * per size class and stays there. When a thread exits, its pooled
+ * blocks go back to the heap, so leak checkers see no blocks stranded
+ * by a finished worker thread.
  */
 // wave-domain: neutral
 // wave-hot
@@ -31,10 +36,10 @@ void* AllocFrame(std::size_t bytes);
 /** Returns a frame to its size-class free list (null is a no-op). */
 void FreeFrame(void* frame) noexcept;
 
-/** Frames served from a free list (vs. fresh heap), for tests. */
+/** Frames this thread served from a free list (vs. fresh heap), for tests. */
 std::uint64_t FramePoolReuses();
 
-/** Frames that fell through to the heap because of their size. */
+/** Frames this thread sent to the heap because of their size. */
 std::uint64_t FramePoolOversized();
 
 }  // namespace wave::sim::detail

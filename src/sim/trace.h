@@ -11,6 +11,11 @@
  *
  * Tracing compiles in release builds but short-circuits on a single
  * branch when the category is off, so instrumented paths stay cheap.
+ *
+ * Simulators on separate threads may trace at once: the environment is
+ * read once, under the thread-safe initialisation of the trace state,
+ * and each line reaches stderr in a single write. Enable, Disable and
+ * Reset must not run while another thread traces.
  */
 // wave-domain: neutral
 #pragma once
@@ -35,9 +40,6 @@ class Trace {
 
     /** True if the category (or "all") is enabled. */
     static bool Enabled(const std::string& category);
-
-    /** Parses WAVE_TRACE from the environment (called lazily). */
-    static void InitFromEnv();
 
     /** Removes every enabled category (tests use this). */
     static void Reset();

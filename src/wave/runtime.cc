@@ -21,8 +21,9 @@ WaveRuntime::WaveRuntime(sim::Simulator& sim, machine::Machine& machine,
       pcie_config_(pcie_config),
       opt_(opt),
       dram_(std::make_unique<pcie::NicDram>(sim, pcie_config,
-                                            nic_dram_bytes)),
-      dma_(std::make_unique<pcie::DmaEngine>(sim, pcie_config))
+                                            /*size=*/0)),
+      dma_(std::make_unique<pcie::DmaEngine>(sim, pcie_config)),
+      dram_limit_(nic_dram_bytes)
 {
     // DMA landings into the MMIO window must participate in the same
     // coherence machinery as NIC-core stores: invalidate host-cached
@@ -56,10 +57,13 @@ WaveRuntime::AllocateDram(std::size_t bytes)
     const std::size_t aligned =
         (bytes + pcie::PcieConfig::kLineSize - 1) /
         pcie::PcieConfig::kLineSize * pcie::PcieConfig::kLineSize;
-    WAVE_ASSERT(dram_bump_ + aligned <= dram_->Backing().Size(),
+    WAVE_ASSERT(dram_bump_ + aligned <= dram_limit_,
                 "NIC DRAM window exhausted");
     const std::size_t base = dram_bump_;
     dram_bump_ += aligned;
+    // Back only what is handed out: a deployment's footprint follows its
+    // queues, not the size of the DRAM window.
+    dram_->Backing().Grow(dram_bump_);
     // Size the coherence checker's line state for the new window.
     WAVE_CHECK_HOOK({
         if (checker_ != nullptr) {

@@ -108,7 +108,8 @@ class WaveRuntime {
   public:
     /**
      * @param nic_dram_bytes size of the MMIO-exposed NIC DRAM window
-     *        used for queue storage.
+     *        used for queue storage. Only the queue windows handed out
+     *        so far are backed by host memory; this is their limit.
      */
     WaveRuntime(sim::Simulator& sim, machine::Machine& machine,
                 const pcie::PcieConfig& pcie_config,
@@ -213,8 +214,8 @@ class WaveRuntime {
     sim::Task<> RunAgent(AgentId id);
 
     /**
-     * Carves a line-aligned window out of NIC DRAM and sizes the
-     * coherence checker's line state for it.
+     * Carves a line-aligned window out of NIC DRAM, grows the backing
+     * to cover it, and sizes the coherence checker's line state for it.
      */
     std::size_t AllocateDram(std::size_t bytes);
 
@@ -228,7 +229,8 @@ class WaveRuntime {
     std::unique_ptr<check::ProtocolChecker> protocol_;  ///< may be null
     std::unique_ptr<check::HbRaceDetector> hb_;         ///< may be null
     sim::inject::FaultInjector* injector_ = nullptr;    ///< not owned
-    std::size_t dram_bump_ = 0;
+    std::size_t dram_limit_;     ///< nic_dram_bytes
+    std::size_t dram_bump_ = 0;  ///< bytes handed out == backing size
     std::vector<AgentSlot> agents_;
 };
 

@@ -1,7 +1,7 @@
 // wave-domain: host
 #include "workload/sched_experiment.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace wave::workload {
 
@@ -129,20 +129,17 @@ RunSchedExperiment(const SchedExperimentConfig& cfg)
 double
 FindSaturationThroughput(const SchedExperimentConfig& base,
                          double start_rps, double end_rps, double step_rps,
-                         double efficiency)
+                         double efficiency, std::vector<LadderPoint>* visited)
 {
-    double best = 0;
-    for (double rps = start_rps; rps <= end_rps + 1; rps += step_rps) {
+    LadderWalk walk = WalkLadder(start_rps, end_rps, step_rps, [&](double rps) {
         SchedExperimentConfig cfg = base;
         cfg.offered_rps = rps;
         const SchedExperimentResult r = RunSchedExperiment(cfg);
-        if (r.achieved_rps >= efficiency * rps) {
-            best = std::max(best, r.achieved_rps);
-        } else if (best > 0) {
-            break;  // past the knee; achieved has flattened
-        }
-    }
-    return best;
+        return LadderPoint{rps, r.achieved_rps,
+                           r.achieved_rps >= efficiency * rps, r.event_hash};
+    });
+    if (visited != nullptr) *visited = std::move(walk.points);
+    return walk.saturation_rps;
 }
 
 }  // namespace wave::workload

@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "ghost/agent.h"
 #include "ghost/costs.h"
@@ -26,6 +27,7 @@
 #include "sim/simulator.h"
 #include "wave/runtime.h"
 #include "workload/kv_service.h"
+#include "workload/ladder.h"
 #include "workload/loadgen.h"
 
 namespace wave::workload {
@@ -114,10 +116,13 @@ SchedExperimentResult RunSchedExperiment(const SchedExperimentConfig& cfg);
  * Sweeps offered load and returns the saturation throughput: the
  * highest achieved rate among the swept points whose achieved rate
  * stays within @p efficiency of offered (past saturation, achieved
- * flattens while offered keeps growing).
+ * flattens while offered keeps growing). Independent load points run
+ * on parallel threads (see workload/ladder.h); the answer is the
+ * serial walk's. @p visited, when given, receives the walk's points.
  */
 double FindSaturationThroughput(const SchedExperimentConfig& base,
                                 double start_rps, double end_rps,
-                                double step_rps, double efficiency = 0.97);
+                                double step_rps, double efficiency = 0.97,
+                                std::vector<LadderPoint>* visited = nullptr);
 
 }  // namespace wave::workload

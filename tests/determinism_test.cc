@@ -301,6 +301,96 @@ TEST(Determinism, RpcExperimentIsBitReproducible)
     EXPECT_EQ(a.event_hash, b.event_hash);
 }
 
+// --- Parallel saturation searches ---
+//
+// The searches run independent load points on parallel threads (one
+// wave of up to hardware_concurrency() points at a time). Their answers
+// and every visited point's fingerprint must be those of the serial
+// walk below, run one point after another on this thread.
+
+TEST(Determinism, ParallelSaturationSearchMatchesSerialWalk)
+{
+    // Fig 4a Wave-16 with short windows: 0.9M-1.2M pass, 1.3M is the
+    // knee, so the walk stops mid-ladder.
+    workload::SchedExperimentConfig base;
+    base.deployment = workload::Deployment::kWave;
+    base.policy = workload::PolicyKind::kFifo;
+    base.worker_cores = 16;
+    base.num_workers = 64;
+    base.prestage_min_depth = 4;
+    base.warmup_ns = 2'000'000;
+    base.measure_ns = 6'000'000;
+    base.seed = 42;
+
+    double serial = 0;
+    std::vector<std::uint64_t> serial_hashes;
+    for (double rps = 900'000; rps <= 1'500'000 + 1; rps += 100'000) {
+        workload::SchedExperimentConfig cfg = base;
+        cfg.offered_rps = rps;
+        const auto r = workload::RunSchedExperiment(cfg);
+        serial_hashes.push_back(r.event_hash);
+        if (r.achieved_rps >= 0.97 * rps) {
+            serial = std::max(serial, r.achieved_rps);
+        } else if (serial > 0) {
+            break;
+        }
+    }
+    ASSERT_EQ(serial_hashes.size(), 5u);
+
+    std::vector<workload::LadderPoint> visited;
+    EXPECT_EQ(workload::FindSaturationThroughput(base, 900'000, 1'500'000,
+                                                 100'000, 0.97, &visited),
+              serial);
+    ASSERT_EQ(visited.size(), serial_hashes.size());
+    for (std::size_t i = 0; i < visited.size(); ++i) {
+        EXPECT_EQ(visited[i].event_hash, serial_hashes[i])
+            << visited[i].offered_rps;
+    }
+}
+
+TEST(Determinism, ParallelRpcSaturationSearchMatchesSerialWalk)
+{
+    // Offload-All, multi-queue: 100k misses the efficiency bound before
+    // anything has passed (the walk climbs on), and 300k keeps up but
+    // breaks the 500 us GET p99 SLO, which ends the walk.
+    rpc::RpcExperimentConfig base;
+    base.scenario = rpc::RpcScenario::kOffloadAll;
+    base.multi_queue = true;
+    base.rocksdb_cores = 4;
+    base.rpc_cores = 2;
+    base.num_workers = 16;
+    base.warmup_ns = 2'000'000;
+    base.measure_ns = 8'000'000;
+    base.seed = 99;
+    constexpr sim::DurationNs kSlo = 500'000;
+
+    double serial = 0;
+    std::vector<std::uint64_t> serial_hashes;
+    for (double rps = 100'000; rps <= 400'000 + 1; rps += 50'000) {
+        rpc::RpcExperimentConfig cfg = base;
+        cfg.offered_rps = rps;
+        const auto r = rpc::RunRpcExperiment(cfg);
+        serial_hashes.push_back(r.event_hash);
+        if (r.achieved_rps >= 0.97 * rps && r.get_p99 <= kSlo) {
+            serial = std::max(serial, r.achieved_rps);
+        } else if (serial > 0) {
+            break;
+        }
+    }
+    ASSERT_EQ(serial_hashes.size(), 5u);
+
+    std::vector<workload::LadderPoint> visited;
+    EXPECT_EQ(rpc::FindRpcSaturation(base, 100'000, 400'000, 50'000, kSlo,
+                                     0.97, &visited),
+              serial);
+    ASSERT_EQ(visited.size(), serial_hashes.size());
+    EXPECT_FALSE(visited.front().passed);
+    for (std::size_t i = 0; i < visited.size(); ++i) {
+        EXPECT_EQ(visited[i].event_hash, serial_hashes[i])
+            << visited[i].offered_rps;
+    }
+}
+
 // --- Golden fingerprints: cross-implementation equivalence oracles ---
 //
 // The tests above prove run-to-run reproducibility, which a rewritten

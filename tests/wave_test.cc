@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "channel/bytes.h"
@@ -475,6 +476,41 @@ TEST(Runtime, DramExhaustionIsAFatalConfigError)
             (void)second;
         },
         "NIC DRAM window exhausted");
+}
+
+TEST(Runtime, DramBackingHoldsOnlyTheWindowsHandedOut)
+{
+    RuntimeFixture f;
+    pcie::MemoryRegion& backing = f.runtime.Dram().Backing();
+    EXPECT_EQ(backing.Size(), 0u);
+
+    const channel::QueueConfig messages{.capacity = 64, .payload_size = 48};
+    const channel::QueueConfig decisions{.capacity = 32, .payload_size = 100};
+    auto to_nic = f.runtime.CreateHostToNicQueue(messages);
+    const std::uint64_t mark = 0x5eed;
+    backing.WriteRaw(to_nic.storage->Base(), &mark, sizeof(mark));
+    auto to_host = f.runtime.CreateNicToHostQueue(decisions);
+
+    const auto aligned = [](std::size_t bytes) {
+        constexpr std::size_t kLine = pcie::PcieConfig::kLineSize;
+        return (bytes + kLine - 1) / kLine * kLine;
+    };
+    const std::size_t first =
+        aligned(channel::RingLayout(messages).BytesNeeded());
+    const std::size_t second =
+        aligned(channel::RingLayout(decisions).BytesNeeded());
+    EXPECT_EQ(backing.Size(), first + second);
+    EXPECT_EQ(to_host.storage->Base(), first);
+
+    // The fresh window reads as zero, and growing the backing for it
+    // kept the bytes already stored in the first.
+    std::vector<std::byte> window(second, std::byte{0xff});
+    backing.ReadRaw(first, window.data(), second);
+    EXPECT_EQ(std::count(window.begin(), window.end(), std::byte{0}),
+              static_cast<std::ptrdiff_t>(second));
+    std::uint64_t read = 0;
+    backing.ReadRaw(to_nic.storage->Base(), &read, sizeof(read));
+    EXPECT_EQ(read, mark);
 }
 
 }  // namespace
