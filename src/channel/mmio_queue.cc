@@ -132,8 +132,29 @@ NicConsumer::NicConsumer(MmioQueue& queue, pcie::PteType local_type)
 
 // wave-lifetime(caller-awaits)
 sim::Task<>
-NicConsumer::MaybeSyncCounter()
+NicConsumer::Take(Bytes& out)
 {
+    // Once the flag matched, the payload must have drained too (it is
+    // written before the flag and fenced by the same sfence), so this
+    // read is checked strictly. A reused @p out keeps its capacity, so
+    // steady-state polling never touches the allocator.
+    out.resize(queue_.Layout().Config().payload_size);
+    co_await map_.Read(queue_.PayloadAddr(tail_), out.data(), out.size());
+    // The matching flag poll is the acquire half of the publication
+    // handshake; it must precede the payload-read race check.
+    WAVE_CHECK_HOOK({
+        if (hb_ != nullptr) {
+            hb_->OnAcquire(actor_, &queue_, tail_);
+            hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(tail_),
+                          out.size(), /*is_write=*/false,
+                          "NicConsumer::Poll[payload]");
+        }
+        if (protocol_ != nullptr) {
+            protocol_->OnStreamRecv(&queue_, tail_, check::Domain::kNic,
+                                    "NicConsumer::Poll");
+        }
+    });
+    ++tail_;
     if (tail_ - last_synced_ >= queue_.Layout().Config().sync_interval) {
         co_await map_.Write(queue_.CounterAddr(), &tail_, sizeof(tail_));
         // Publishing the counter releases every slot read so far: the
@@ -151,38 +172,9 @@ NicConsumer::MaybeSyncCounter()
 sim::Task<bool>
 NicConsumer::PollInto(Bytes& out)
 {
-    const auto& layout = queue_.Layout();
-    std::byte flag_raw[RingLayout::kFlagSize];
-    // The flag poll is the sanctioned optimistic read: host stores may
-    // still be parked in the WC buffer, in which case the generation
-    // simply does not match yet and we retry later.
-    co_await map_.Read(queue_.FlagAddr(tail_), flag_raw, sizeof(flag_raw),
-                       /*tolerate_stale=*/true);  // gen mismatch => retry
-    if (FromFlagBytes(flag_raw) != layout.GenerationOf(tail_)) {
-        co_return false;
-    }
-    // Once the flag matched, the payload must have drained too (it is
-    // written before the flag and fenced by the same sfence), so this
-    // read is checked strictly. A reused @p out keeps its capacity, so
-    // steady-state polling never touches the allocator.
-    out.resize(layout.Config().payload_size);
-    co_await map_.Read(queue_.PayloadAddr(tail_), out.data(), out.size());
-    // The matching flag poll is the acquire half of the publication
-    // handshake; it must precede the payload-read race check.
-    WAVE_CHECK_HOOK({
-        if (hb_ != nullptr) {
-            hb_->OnAcquire(actor_, &queue_, tail_);
-            hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(tail_),
-                          out.size(), /*is_write=*/false,
-                          "NicConsumer::Poll[payload]");
-        }
-        if (protocol_ != nullptr) {
-            protocol_->OnStreamRecv(&queue_, tail_, check::Domain::kNic,
-                                    "NicConsumer::Poll");
-        }
-    });
-    ++tail_;
-    co_await MaybeSyncCounter();
+    const bool ready = co_await Ready();
+    if (!ready) co_return false;
+    co_await Take(out);
     co_return true;
 }
 
@@ -203,11 +195,14 @@ NicConsumer::Poll()
 sim::Task<std::vector<Bytes>>
 NicConsumer::PollBatch(std::size_t max)
 {
+    // Left unreserved so that an empty poll, the common case of an agent
+    // pass, returns without touching the allocator.
     std::vector<Bytes> out;
-    out.reserve(max);
     while (out.size() < max) {
+        const bool ready = co_await Ready();
+        if (!ready) break;
         Bytes payload;
-        if (!co_await PollInto(payload)) break;
+        co_await Take(payload);
         out.push_back(std::move(payload));
     }
     co_return out;

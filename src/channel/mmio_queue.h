@@ -161,20 +161,76 @@ class HostProducer {
     sim::ActorId actor_ = sim::kNoActor;
 };
 
-/** NIC-side consumer for a host->NIC message queue. */
+/**
+ * NIC-side consumer for a host->NIC message queue.
+ *
+ * A poll has two phases. Ready() reads the next slot's generation flag
+ * and yields whether the slot is published; it is a frame-free awaiter,
+ * so a poll of an empty ring costs one event and no coroutine frame.
+ * Take() then consumes the published slot. PollInto, PollBatch and Poll
+ * are built from the two.
+ */
 class NicConsumer {
   public:
     /** @param local_type kUncacheable (baseline) or kWriteBack. */
     NicConsumer(MmioQueue& queue, pcie::PteType local_type);
 
+    /** Awaiter of Ready(): yields true when the next slot is published. */
+    struct [[nodiscard]] ReadyOp {
+        NicConsumer& consumer;
+        std::uint64_t index;  ///< absolute index of the polled slot
+        std::uint64_t flag = 0;
+        static_assert(sizeof(flag) == RingLayout::kFlagSize);
+
+        bool await_ready() const { return false; }
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            FlagRead().await_suspend(h);
+        }
+
+        bool
+        await_resume()
+        {
+            FlagRead().await_resume();
+            return flag == consumer.queue_.Layout().GenerationOf(index);
+        }
+
+        /** The read of the slot's flag into this awaiter's flag. */
+        pcie::NicLocalMapping::ReadOp
+        FlagRead()
+        {
+            // The flag poll is the sanctioned optimistic read: host
+            // stores may still be parked in the WC buffer, in which case
+            // the generation simply does not match yet and we retry.
+            return consumer.map_.Read(
+                consumer.queue_.FlagAddr(index), &flag, sizeof(flag),
+                /*tolerate_stale=*/true);  // gen mismatch => retry
+        }
+    };
+
+    /**
+     * Reads the next slot's flag: true when a message is ready to
+     * Take(). Bind the result to a local before testing it (see
+     * sim/task.h).
+     */
+    ReadyOp Ready() { return ReadyOp{*this, tail_}; }
+
+    /**
+     * Consumes the slot that Ready() found published: resizes @p out to
+     * the payload size, reads the payload into it and advances the
+     * consumer, syncing the counter every sync_interval entries. A
+     * caller that reuses one buffer pays no per-message heap allocation.
+     */
+    sim::Task<> Take(Bytes& out);
+
     /** Returns the next message if one is ready; nullopt otherwise. */
     sim::Task<std::optional<Bytes>> Poll();
 
     /**
-     * Allocation-free poll: resizes @p out to the payload size and
-     * fills it if a message is ready. A caller that reuses one buffer
-     * across polls pays no per-message heap allocation — the hot-loop
-     * form of Poll().
+     * Allocation-free poll: Ready(), then Take(@p out) if a message is
+     * ready — the reusing form of Poll().
      */
     sim::Task<bool> PollInto(Bytes& out);
 
@@ -200,8 +256,6 @@ class NicConsumer {
     sim::ActorId HbActor() const { return actor_; }
 
   private:
-    sim::Task<> MaybeSyncCounter();
-
     MmioQueue& queue_;
     pcie::NicLocalMapping map_;
     std::uint64_t tail_ = 0;  ///< next absolute index to read

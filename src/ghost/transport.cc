@@ -42,6 +42,30 @@ Iota(int n)
     return cores;
 }
 
+/** Stores @p pc as core @p core's entry, growing the table to reach it. */
+template <typename PerCore>
+void
+Install(std::vector<std::unique_ptr<PerCore>>& table, int core,
+        std::unique_ptr<PerCore> pc)
+{
+    WAVE_ASSERT(core >= 0, "negative core id %d", core);
+    const auto index = static_cast<std::size_t>(core);
+    if (index >= table.size()) table.resize(index + 1);
+    WAVE_ASSERT(table[index] == nullptr, "core %d listed twice", core);
+    table[index] = std::move(pc);
+}
+
+/** Core @p core's entry, which must exist. */
+template <typename PerCore>
+PerCore&
+Lookup(const std::vector<std::unique_ptr<PerCore>>& table, int core)
+{
+    const auto index = static_cast<std::size_t>(core);
+    WAVE_ASSERT(core >= 0 && index < table.size() && table[index] != nullptr,
+                "core %d is not served by this transport", core);
+    return *table[index];
+}
+
 }  // namespace
 
 WaveSchedTransport::WaveSchedTransport(WaveRuntime& runtime, int cores)
@@ -91,17 +115,15 @@ WaveSchedTransport::WaveSchedTransport(WaveRuntime& runtime,
                                    pc->decisions.host->HbActor());
             }
         });
-        percore_.emplace(core, std::move(pc));
+        Install(percore_, core, std::move(pc));
     }
+    core_count_ = static_cast<int>(cores.size());
 }
 
 WaveSchedTransport::PerCore&
 WaveSchedTransport::For(int core)
 {
-    auto it = percore_.find(core);
-    WAVE_ASSERT(it != percore_.end(),
-                "core %d is not served by this transport", core);
-    return *it->second;
+    return Lookup(percore_, core);
 }
 
 // wave-lifetime(caller-awaits)
@@ -146,7 +168,7 @@ WaveSchedTransport::HostPollDecision(int core, bool flush_first)
 sim::Task<>
 WaveSchedTransport::HostPrefetchDecision(int core)
 {
-    co_await For(core).host_txn->PrefetchTxns();
+    return For(core).host_txn->PrefetchTxns();
 }
 
 // wave-lifetime(caller-awaits)
@@ -194,21 +216,21 @@ WaveSchedTransport::AgentStageDecision(const GhostDecision& d)
 sim::Task<std::size_t>
 WaveSchedTransport::AgentCommit(int core, bool kick)
 {
-    co_return co_await For(core).nic_txn->TxnsCommit(kick);
+    return For(core).nic_txn->TxnsCommit(kick);
 }
 
 // wave-lifetime(caller-awaits)
 sim::Task<std::vector<api::TxnOutcome>>
 WaveSchedTransport::AgentPollOutcomes(int core, std::size_t max)
 {
-    co_return co_await For(core).nic_txn->PollTxnsOutcomes(max);
+    return For(core).nic_txn->PollTxnsOutcomes(max);
 }
 
 // wave-lifetime(caller-awaits)
 sim::Task<>
 WaveSchedTransport::AgentKick(int core)
 {
-    co_await For(core).msix->Send();
+    return For(core).msix->Send();
 }
 
 // --- ShmSchedTransport ---
@@ -245,8 +267,9 @@ ShmSchedTransport::ShmSchedTransport(sim::Simulator& sim,
         pc->interrupt = std::make_unique<CoreInterrupt>(sim);
         CoreInterrupt* line = pc->interrupt.get();
         pc->ipi->SetDeliveryHandler([line] { line->Raise(); });
-        percore_.emplace(core, std::move(pc));
+        Install(percore_, core, std::move(pc));
     }
+    core_count_ = static_cast<int>(cores.size());
 }
 
 void
@@ -268,8 +291,8 @@ ShmSchedTransport::AttachCheckers(check::HbRaceDetector* hb,
             hb != nullptr  // wave-domain: host
                 ? hb->RegisterActor("shm-agent")
                 : 0);
-        for (auto& [core, pc] : percore_) {
-            (void)core;
+        for (auto& pc : percore_) {
+            if (pc == nullptr) continue;  // a core this transport skips
             const sim::ActorId agent =  // wave-domain: host
                 hb != nullptr ? hb->RegisterActor("shm-agent") : 0;
             const sim::ActorId core_loop =  // wave-domain: host
@@ -286,10 +309,7 @@ ShmSchedTransport::AttachCheckers(check::HbRaceDetector* hb,
 ShmSchedTransport::PerCore&
 ShmSchedTransport::For(int core)
 {
-    auto it = percore_.find(core);
-    WAVE_ASSERT(it != percore_.end(),
-                "core %d is not served by this transport", core);
-    return *it->second;
+    return Lookup(percore_, core);
 }
 
 // wave-lifetime(caller-awaits)
@@ -452,7 +472,7 @@ ShmSchedTransport::AgentPollOutcomes(int core, std::size_t max)
 sim::Task<>
 ShmSchedTransport::AgentKick(int core)
 {
-    co_await For(core).ipi->Send();
+    return For(core).ipi->Send();
 }
 
 }  // namespace wave::ghost

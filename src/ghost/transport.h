@@ -18,7 +18,6 @@
 // wave-domain: host
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -125,7 +124,7 @@ class WaveSchedTransport : public SchedTransport {
     sim::Task<std::vector<api::TxnOutcome>> AgentPollOutcomes(
         int core, std::size_t max) override;
     sim::Task<> AgentKick(int core) override;
-    int CoreCount() const override { return static_cast<int>(percore_.size()); }
+    int CoreCount() const override { return core_count_; }
 
   private:
     struct PerCore {
@@ -147,7 +146,9 @@ class WaveSchedTransport : public SchedTransport {
      * serializes them, like the kernel's per-queue spinlock.
      */
     sim::Resource send_lock_;
-    std::map<int, std::unique_ptr<PerCore>> percore_;
+    /** Indexed by host core id; null for cores this transport skips. */
+    std::vector<std::unique_ptr<PerCore>> percore_;
+    int core_count_ = 0;  ///< cores served
 };
 
 /** On-host binding: the agent runs on a dedicated host core. */
@@ -185,7 +186,7 @@ class ShmSchedTransport : public SchedTransport {
     sim::Task<std::vector<api::TxnOutcome>> AgentPollOutcomes(
         int core, std::size_t max) override;
     sim::Task<> AgentKick(int core) override;
-    int CoreCount() const override { return static_cast<int>(percore_.size()); }
+    int CoreCount() const override { return core_count_; }
 
   private:
     struct PerCore {
@@ -200,7 +201,13 @@ class ShmSchedTransport : public SchedTransport {
 
     sim::Simulator& sim_;
     ShmQueue messages_;
-    std::map<int, std::unique_ptr<PerCore>> percore_;
+    /**
+     * Indexed by host core id; null for cores this transport skips.
+     * Index order is ascending core order, the order in which
+     * AttachCheckers registers each core's actors.
+     */
+    std::vector<std::unique_ptr<PerCore>> percore_;
+    int core_count_ = 0;  ///< cores served
     api::TxnId next_txn_id_ = 1;
     check::ProtocolChecker* protocol_ = nullptr;
 };

@@ -11,10 +11,10 @@
 // wave-domain: neutral
 #pragma once
 
+#include <coroutine>
 #include <string>
 
 #include "sim/simulator.h"
-#include "sim/task.h"
 
 namespace wave::machine {
 
@@ -54,23 +54,43 @@ class Cpu {
     Cpu& operator=(const Cpu&) = delete;
 
     /**
-     * Executes @p reference_ns of compute on this core.
+     * Awaitable: executes @p reference_ns of compute on this core.
      *
      * Scales by the clock domain's current speed (sampled at start).
      * Asserts that the core is not already executing something — each
-     * core must host exactly one running activity at a time.
+     * core must host exactly one running activity at a time. Frame-free
+     * (see sim/task.h): one event, no coroutine frame.
      */
-    sim::Task<>
+    auto
     Work(sim::DurationNs reference_ns)
     {
-        WAVE_ASSERT(!busy_, "core %s is already busy", name_.c_str());
-        busy_ = true;
-        const auto scaled = sim::DurationNs::FromDouble(
-            reference_ns.ToDouble() / domain_->Speed());
-        co_await sim_.Delay(scaled);
-        busy_ns_ += scaled;
-        ++work_segments_;
-        busy_ = false;
+        struct [[nodiscard]] Awaiter {
+            Cpu& cpu;
+            sim::DurationNs reference_ns;
+            sim::DurationNs scaled{};
+
+            bool await_ready() const { return false; }
+
+            void
+            await_suspend(std::coroutine_handle<> h)
+            {
+                WAVE_ASSERT(!cpu.busy_, "core %s is already busy",
+                            cpu.name_.c_str());
+                cpu.busy_ = true;
+                scaled = sim::DurationNs::FromDouble(
+                    reference_ns.ToDouble() / cpu.domain_->Speed());
+                cpu.sim_.Schedule(scaled, [h] { h.resume(); });
+            }
+
+            void
+            await_resume()
+            {
+                cpu.busy_ns_ += scaled;
+                ++cpu.work_segments_;
+                cpu.busy_ = false;
+            }
+        };
+        return Awaiter{*this, reference_ns};
     }
 
     /** Name for diagnostics, e.g. "host3" or "nic0". */

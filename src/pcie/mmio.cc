@@ -501,35 +501,32 @@ NicLocalMapping::AccessCost(std::size_t n) const
     return per_word * words;
 }
 
-// wave-lifetime(caller-awaits)
-sim::Task<>
-NicLocalMapping::Read(std::size_t offset, void* dst, std::size_t n,
-                      bool tolerate_stale)
+void
+NicLocalMapping::ReadOp::await_resume() const
 {
-    co_await dram_.Sim().Delay(AccessCost(n));
-    dram_.Backing().ReadRaw(offset, dst, n);
+    NicDram& dram = map.dram_;
+    dram.Backing().ReadRaw(offset, dst, n);
     WAVE_CHECK_HOOK({
-        if (auto* checker = dram_.Checker()) {
-            checker->OnRead(&dram_.Backing(), check::Domain::kNic, offset,
+        if (auto* checker = dram.Checker()) {
+            checker->OnRead(&dram.Backing(), check::Domain::kNic, offset,
                             n, /*from_host_cache=*/false, tolerate_stale,
                             "NicLocalMapping::Read");
         }
     });
 }
 
-// wave-lifetime(caller-awaits)
-sim::Task<>
-NicLocalMapping::Write(std::size_t offset, const void* src, std::size_t n)
+void
+NicLocalMapping::WriteOp::await_resume() const
 {
-    co_await dram_.Sim().Delay(AccessCost(n));
-    dram_.Backing().WriteRaw(offset, src, n);
+    NicDram& dram = map.dram_;
+    dram.Backing().WriteRaw(offset, src, n);
     WAVE_CHECK_HOOK({
-        if (auto* checker = dram_.Checker()) {
-            checker->OnWrite(&dram_.Backing(), check::Domain::kNic,
+        if (auto* checker = dram.Checker()) {
+            checker->OnWrite(&dram.Backing(), check::Domain::kNic,
                              offset, n, "NicLocalMapping::Write");
         }
     });
-    dram_.OnNicWrite(offset, n);
+    dram.OnNicWrite(offset, n);
 }
 
 }  // namespace wave::pcie

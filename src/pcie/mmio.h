@@ -283,10 +283,53 @@ class HostMmioMapping {
     std::vector<std::vector<std::byte>> posted_pool_;
 };
 
-/** A SmartNIC core's view of the NIC DRAM (its own local memory). */
+/**
+ * A SmartNIC core's view of the NIC DRAM (its own local memory).
+ *
+ * Each access suspends once, for its cost, so Read and Write return
+ * frame-free awaiters (see sim/task.h): the cost is scheduled when the
+ * caller suspends, and the bytes move when it resumes.
+ */
 class NicLocalMapping {
   public:
     NicLocalMapping(NicDram& dram, PteType type);
+
+    /** Awaiter for one Read(). */
+    struct [[nodiscard]] ReadOp {
+        NicLocalMapping& map;
+        std::size_t offset;
+        void* dst;
+        std::size_t n;
+        bool tolerate_stale;
+
+        bool await_ready() const { return false; }
+
+        void
+        await_suspend(std::coroutine_handle<> h) const
+        {
+            map.Charge(n, h);
+        }
+
+        void await_resume() const;
+    };
+
+    /** Awaiter for one Write(). */
+    struct [[nodiscard]] WriteOp {
+        NicLocalMapping& map;
+        std::size_t offset;
+        const void* src;
+        std::size_t n;
+
+        bool await_ready() const { return false; }
+
+        void
+        await_suspend(std::coroutine_handle<> h) const
+        {
+            map.Charge(n, h);
+        }
+
+        void await_resume() const;
+    };
 
     /**
      * Local read; cost depends on UC vs WB mapping.
@@ -296,15 +339,30 @@ class NicLocalMapping {
      *        generation flag simply won't match yet); the coherence
      *        checker skips the unflushed-WC check on such reads.
      */
-    sim::Task<> Read(std::size_t offset, void* dst, std::size_t n,
-                     bool tolerate_stale = false);
+    ReadOp
+    Read(std::size_t offset, void* dst, std::size_t n,
+         bool tolerate_stale = false)
+    {
+        return ReadOp{*this, offset, dst, n, tolerate_stale};
+    }
 
     /** Local write; visible to the host's next PCIe fetch immediately. */
-    sim::Task<> Write(std::size_t offset, const void* src, std::size_t n);
+    WriteOp
+    Write(std::size_t offset, const void* src, std::size_t n)
+    {
+        return WriteOp{*this, offset, src, n};
+    }
 
     PteType Type() const { return type_; }
 
   private:
+    /** Resumes @p h once an access of @p n bytes has taken its cost. */
+    void
+    Charge(std::size_t n, std::coroutine_handle<> h) const
+    {
+        dram_.Sim().Schedule(AccessCost(n), [h] { h.resume(); });
+    }
+
     sim::DurationNs AccessCost(std::size_t n) const;
 
     NicDram& dram_;

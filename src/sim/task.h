@@ -19,6 +19,25 @@
  * Destroying a Task destroys the frame, recursively tearing down any
  * nested tasks it is suspended inside — this is how the Simulator cleans
  * up processes that never finish (e.g. infinite server loops) at teardown.
+ *
+ * Every Task costs a frame, so hot paths keep them for work that really
+ * composes several suspensions:
+ *
+ *   - An operation that suspends exactly once (a delay, one local memory
+ *     access, one Cpu::Work) is an awaiter struct, like
+ *     Simulator::Delay: await_suspend schedules the one event and
+ *     await_resume does what follows it. No frame is built.
+ *   - A pure wrapper, whose body would only be `co_return co_await
+ *     inner(...)`, returns the inner task instead.
+ *   - A bool-yielding awaiter is bound to a local before any branch
+ *     tests it. GCC 12.2 miscompiles a plain struct awaiter co_awaited
+ *     directly in an `if` condition (the loop around it stops running,
+ *     or the resume jumps to an invalid state):
+ *
+ *         const bool ready = co_await consumer.Ready();
+ *         if (!ready) co_return false;
+ *
+ *     A Task operand inside a condition is not affected.
  */
 // wave-domain: neutral
 // wave-hot

@@ -119,12 +119,13 @@ NicTxnEndpoint::PollTxnsOutcomes(std::size_t max)
 {
     std::vector<api::TxnOutcome> out;
     while (out.size() < max) {
-        auto record = co_await outcomes_.Poll();
-        if (!record) break;
+        const bool ready = co_await outcomes_.Ready();
+        if (!ready) break;
+        co_await outcomes_.Take(record_);
         api::TxnOutcome outcome;
-        std::memcpy(&outcome.txn_id, record->data(),
+        std::memcpy(&outcome.txn_id, record_.data(),
                     sizeof(outcome.txn_id));
-        std::memcpy(&outcome.status, record->data() + sizeof(api::TxnId),
+        std::memcpy(&outcome.status, record_.data() + sizeof(api::TxnId),
                     sizeof(outcome.status));
         WAVE_CHECK_HOOK({
             if (protocol_ != nullptr) {
@@ -169,14 +170,14 @@ HostTxnEndpoint::PollTxns(bool flush_first)
 sim::Task<>
 HostTxnEndpoint::PrefetchTxns()
 {
-    co_await decisions_.PrefetchNext();
+    return decisions_.PrefetchNext();
 }
 
 // wave-lifetime(caller-awaits)
 sim::Task<>
 HostTxnEndpoint::FlushTxns()
 {
-    co_await decisions_.FlushNext();
+    return decisions_.FlushNext();
 }
 
 // wave-lifetime(caller-awaits)
@@ -213,7 +214,7 @@ sim::Task<>
 HostTxnEndpoint::WaitForKick()
 {
     WAVE_ASSERT(msix_ != nullptr);
-    co_await msix_->WaitAndReceive();
+    return msix_->WaitAndReceive();
 }
 
 bool

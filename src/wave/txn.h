@@ -112,6 +112,7 @@ class NicTxnEndpoint {
     api::TxnId next_id_ = 1;
     std::vector<api::Bytes> staged_;  ///< already framed with txn ids
     std::vector<api::TxnId> staged_ids_;  ///< parallel to staged_
+    api::Bytes record_;  ///< outcome slot buffer, reused across polls
     check::ProtocolChecker* protocol_ = nullptr;
     sim::inject::FaultInjector* injector_ = nullptr;
 };

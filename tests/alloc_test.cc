@@ -24,12 +24,15 @@
 #include "channel/mmio_queue.h"
 #include "check/coherence.h"
 #include "check/hb.h"
+#include "ghost/agent.h"
+#include "ghost/transport.h"
 #include "machine/cpu.h"
 #include "machine/machine.h"
 #include "offload/kernels.h"
 #include "offload/packet.h"
 #include "offload/pipeline.h"
 #include "offload/stage.h"
+#include "sched/fifo.h"
 #include "sim/alloc_guard.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -316,6 +319,37 @@ TEST(AllocGuard, WaveQueueRoundTripsAreAllocationFreeWithCheckers)
             ADD_FAILURE() << violation.Describe();
         }
     }
+}
+
+TEST(AllocGuard, IdleWaveAgentPassesAreAllocationFree)
+{
+    // A Wave agent with nothing to schedule spins through its loop
+    // passes, polling the message queue and all 16 outcome queues each
+    // time. After a warm-up millisecond those passes must stay off the
+    // heap: the polls find every ring empty, so nothing is returned.
+    constexpr int kCores = 16;
+
+    Simulator sim;
+    machine::Machine machine(sim);
+    WaveRuntime runtime(sim, machine, pcie::PcieConfig{},
+                        api::OptimizationConfig::Full());
+    ghost::WaveSchedTransport transport(runtime, kCores);
+    ghost::AgentConfig config;
+    for (int core = 0; core < kCores; ++core) config.cores.push_back(core);
+    auto agent = std::make_shared<ghost::GhostAgent>(
+        transport, std::make_shared<sched::FifoPolicy>(), config);
+    runtime.StartWaveAgent(agent, 0);
+
+    sim.RunFor(DurationNs{1'000'000});  // warm-up
+    const std::uint64_t passes = agent->Stats().iterations;
+    AllocGuard guard;
+    sim.RunFor(DurationNs{1'000'000});
+    const std::uint64_t measured_allocs = guard.Allocations();
+
+    EXPECT_GT(agent->Stats().iterations - passes, 5'000u);
+    EXPECT_EQ(measured_allocs, 0u)
+        << "idle agent passes should reuse pooled frames and allocate "
+           "nothing for empty polls";
 }
 
 offload::FiveTuple

@@ -13,6 +13,7 @@
 #include "ghost/transport.h"
 #include "machine/machine.h"
 #include "sched/fifo.h"
+#include "sim/frame_pool.h"
 #include "sim/simulator.h"
 #include "wave/runtime.h"
 
@@ -221,6 +222,44 @@ TEST_P(TransportTest, ConcurrentMessageSendersDoNotCorruptTheQueue)
     EXPECT_TRUE(checked);
 }
 
+TEST_P(TransportTest, ServesOnlyItsOwnCoreSet)
+{
+    // One enclave's partition: cores 1 and 3 of the machine. Core 3's
+    // decision reaches core 3, and the unserved cores in between and
+    // beyond are rejected rather than aliased to a served one.
+    Simulator sim;
+    machine::Machine machine(sim);
+    WaveRuntime runtime(sim, machine, pcie::PcieConfig{},
+                        api::OptimizationConfig::Full());
+    std::unique_ptr<SchedTransport> transport;
+    if (GetParam()) {
+        transport = std::make_unique<WaveSchedTransport>(
+            runtime, std::vector<int>{1, 3});
+    } else {
+        transport = std::make_unique<ShmSchedTransport>(
+            sim, std::vector<int>{1, 3});
+    }
+    EXPECT_EQ(transport->CoreCount(), 2);
+
+    sim.Spawn([](Simulator& s, SchedTransport& t) -> Task<> {
+        GhostDecision d{};
+        d.type = DecisionType::kRunThread;
+        d.tid = 9;
+        d.core = 3;
+        const api::TxnId id = t.AgentStageDecision(d);
+        co_await t.AgentCommit(3, /*kick=*/false);
+        co_await s.Delay(2_us);
+        auto pd = co_await t.HostPollDecision(3, true);
+        CO_ASSERT(pd.has_value());
+        EXPECT_EQ(pd->txn_id, id);
+        EXPECT_EQ(pd->decision.tid, 9);
+    }(sim, *transport));
+    sim.Run();
+
+    EXPECT_DEATH(transport->InterruptFor(2), "core 2 is not served");
+    EXPECT_DEATH(transport->InterruptFor(4), "core 4 is not served");
+}
+
 INSTANTIATE_TEST_SUITE_P(Bindings, TransportTest,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& param_info) {
@@ -411,6 +450,48 @@ TEST(Preemption, AgentKickPreemptsLongRunner)
     f.sim.RunFor(100'000);
     EXPECT_GE(f.kernel->Stats().preemptions, 1u);
     EXPECT_GE(completions, 1);  // the short thread completed
+}
+
+/** Steps @p sim until @p agent begins its next loop pass. */
+void
+StepToPassStart(Simulator& sim, const GhostAgent& agent)
+{
+    const std::uint64_t passes = agent.Stats().iterations;
+    while (agent.Stats().iterations == passes) {
+        ASSERT_TRUE(sim.Step()) << "the agent stopped iterating";
+    }
+}
+
+TEST(AgentPass, IdleWavePassIsOneEventPerPollAndFewFrames)
+{
+    // An idle Wave agent polls its message queue and each core's outcome
+    // queue once per pass, then pays its loop overhead: one event each,
+    // cores + 2 in all. The polls and the Work are frame-free awaiters,
+    // so a pass builds only the agent's five stage tasks, the message
+    // poll's transport and PollBatch tasks, and one PollTxnsOutcomes
+    // task per core: cores + 7 frames.
+    constexpr int kCores = 16;
+    StackFixture f(/*wave=*/true, kCores);
+    f.sim.RunFor(1'000'000);  // warm-up: every frame size class pooled
+    StepToPassStart(f.sim, *f.agent);
+
+    const std::uint64_t passes0 = f.agent->Stats().iterations;
+    const std::uint64_t events0 = f.sim.EventsExecuted();
+    const std::uint64_t reuses0 = sim::detail::FramePoolReuses();
+    const std::uint64_t oversized0 = sim::detail::FramePoolOversized();
+    f.sim.RunFor(1'000'000);
+    StepToPassStart(f.sim, *f.agent);
+
+    const std::uint64_t passes = f.agent->Stats().iterations - passes0;
+    const std::uint64_t events = f.sim.EventsExecuted() - events0;
+    const std::uint64_t frames = sim::detail::FramePoolReuses() - reuses0;
+    ASSERT_GT(passes, 5'000u) << "an idle pass takes ~166 ns";
+    EXPECT_EQ(f.agent->Stats().messages, 0u);
+    EXPECT_EQ(f.agent->Stats().decisions, 0u);
+    EXPECT_EQ(events, (kCores + 2) * passes);
+    EXPECT_LE(frames, (kCores + 7) * passes)
+        << frames / passes << " frames per idle pass";
+    EXPECT_EQ(sim::detail::FramePoolOversized(), oversized0);
 }
 
 }  // namespace
