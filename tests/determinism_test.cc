@@ -642,6 +642,113 @@ TEST(GoldenFingerprint, OffloadSweepPipelined)
     EXPECT_EQ(r.event_hash, 0x0e49379bad42fcf0ULL);
 }
 
+// --- Goldens for the wiring branches the figure families leave out ---
+//
+// The families above are Wave-only, fault-free, or the fuzz corpus.
+// These pin the remaining deployment branches of the harnesses: the
+// On-Host placement (shared-memory transport, agent on a host core),
+// the poll-idle kernel with kicks off and the multi-queue SLO hook, the
+// two rpc placements with the scheduler on the host, and a supervised
+// offload run whose agent crashes (injector, fault actions and the
+// CFS-lite fallback). Values captured at parent commit 0672a0b.
+
+namespace {
+
+/** Sched harness, On-Host: shm transport, agent on host core 4. */
+std::uint64_t
+GoldenSchedOnHost()
+{
+    workload::SchedExperimentConfig cfg;
+    cfg.deployment = workload::Deployment::kOnHost;
+    cfg.policy = workload::PolicyKind::kFifo;
+    cfg.worker_cores = 4;
+    cfg.num_workers = 16;
+    cfg.offered_rps = 200'000;
+    cfg.warmup_ns = 5'000'000;
+    cfg.measure_ns = 20'000'000;
+    cfg.seed = 4242;
+    return workload::RunSchedExperiment(cfg).event_hash;
+}
+
+/** Sched harness, Wave + poll-idle host + multi-queue Shinjuku. */
+std::uint64_t
+GoldenSchedWavePollMultiQueue()
+{
+    workload::SchedExperimentConfig cfg;
+    cfg.deployment = workload::Deployment::kWave;
+    cfg.policy = workload::PolicyKind::kMultiQueueShinjuku;
+    cfg.poll_mode = true;
+    cfg.worker_cores = 4;
+    cfg.num_workers = 16;
+    cfg.offered_rps = 150'000;
+    cfg.get_fraction = 0.995;
+    cfg.warmup_ns = 5'000'000;
+    cfg.measure_ns = 20'000'000;
+    cfg.seed = 7;
+    return workload::RunSchedExperiment(cfg).event_hash;
+}
+
+/** rpc harness with the scheduler on the host. */
+std::uint64_t
+GoldenRpcHostScheduler(rpc::RpcScenario scenario)
+{
+    rpc::RpcExperimentConfig cfg;
+    cfg.scenario = scenario;
+    cfg.multi_queue = true;
+    cfg.rocksdb_cores = 4;
+    cfg.rpc_cores = 2;
+    cfg.num_workers = 16;
+    cfg.offered_rps = 30'000;
+    cfg.warmup_ns = 5'000'000;
+    cfg.measure_ns = 20'000'000;
+    cfg.seed = 99;
+    return rpc::RunRpcExperiment(cfg).event_hash;
+}
+
+}  // namespace
+
+TEST(GoldenFingerprint, SchedOnHostPlacement)
+{
+    // Parent hash: 0x0ae1fcda0e135653.
+    EXPECT_EQ(GoldenSchedOnHost(), 0x0ae1fcda0e135653ULL);
+}
+
+TEST(GoldenFingerprint, SchedWavePollIdleMultiQueue)
+{
+    // Parent hash: 0x97cbbd582e2de7b1.
+    EXPECT_EQ(GoldenSchedWavePollMultiQueue(), 0x97cbbd582e2de7b1ULL);
+}
+
+TEST(GoldenFingerprint, RpcOnHostAll)
+{
+    // Parent hash: 0xf67038e9b8c2d000.
+    EXPECT_EQ(GoldenRpcHostScheduler(rpc::RpcScenario::kOnHostAll),
+              0xf67038e9b8c2d000ULL);
+}
+
+TEST(GoldenFingerprint, RpcOnHostScheduler)
+{
+    // Parent hash: 0x50215086ababc521.
+    EXPECT_EQ(GoldenRpcHostScheduler(rpc::RpcScenario::kOnHostScheduler),
+              0x50215086ababc521ULL);
+}
+
+TEST(GoldenFingerprint, OffloadSweepSupervisedAgentCrash)
+{
+    offload::OffloadSweepConfig cfg =
+        OffloadSweepFixture(0.5, offload::Placement::kRunToCompletion);
+    cfg.supervise = true;
+    cfg.watchdog_timeout_ns = 3'000'000;
+    cfg.faults.push_back({sim::inject::FaultKind::kAgentCrash,
+                          sim::TimeNs{8'000'000}, 0, 0});
+    const auto r = offload::RunOffloadSweep(cfg);
+    // The crash fired, the watchdog expired and the fallback took over.
+    EXPECT_EQ(r.watchdog_expiries, 1u);
+    EXPECT_TRUE(r.fallback_active);
+    // Parent hash: 0x58ffc52a683b26f3.
+    EXPECT_EQ(r.event_hash, 0x58ffc52a683b26f3ULL);
+}
+
 TEST(GoldenFingerprint, FuzzCorpusSeeds)
 {
     // Four seeded fault-injection scenarios: the corpus exercises agent
