@@ -19,16 +19,11 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "ghost/agent.h"
-#include "ghost/kernel.h"
-#include "ghost/transport.h"
-#include "machine/machine.h"
 #include "machine/turbo.h"
 #include "sched/vm_policy.h"
-#include "sim/simulator.h"
 #include "stats/table.h"
-#include "wave/runtime.h"
 #include "workload/busy_loop.h"
+#include "workload/testbed.h"
 
 namespace {
 
@@ -43,10 +38,13 @@ constexpr sim::DurationNs kMeasureNs = 120'000'000;  // 120 ms
 double
 MeasureWorkOutput(int active_vcpus, bool ticks)
 {
-    sim::Simulator sim;
-    machine::MachineConfig mc;
-    mc.host_cores = kLogicalCores + 1;  // +1 hosts the on-host agent
-    machine::Machine machine(sim, mc);
+    workload::TestbedConfig tc;
+    // On-host ghOSt ticks every core; the Wave deployment needs none.
+    tc.placement = ticks ? workload::Deployment::kOnHost
+                         : workload::Deployment::kWave;
+    tc.worker_cores = kLogicalCores;
+    tc.kernel.timer_ticks = ticks;
+    workload::Testbed bed(tc);
 
     // Frequency for this activity level: idle cores reach deep C-states
     // only when ticks are disabled (the Wave deployment).
@@ -54,44 +52,18 @@ MeasureWorkOutput(int active_vcpus, bool ticks)
     machine::TurboModel turbo;
     const machine::FreqGhz freq =
         turbo.Frequency(active_physical, /*idle_cores_deep=*/!ticks);
-    machine.HostDomain().SetSpeed(freq.RatioTo(machine::kReferenceFreq));
-
-    WaveRuntime runtime(sim, machine, pcie::PcieConfig{},
-                        api::OptimizationConfig::Full());
-    std::unique_ptr<ghost::SchedTransport> transport;
-    if (ticks) {
-        transport = std::make_unique<ghost::ShmSchedTransport>(
-            sim, kLogicalCores);
-    } else {
-        transport = std::make_unique<ghost::WaveSchedTransport>(
-            runtime, kLogicalCores);
-    }
-    ghost::GhostCosts costs;
-    ghost::KernelOptions options;
-    options.timer_ticks = ticks;
-    ghost::KernelSched kernel(sim, machine, *transport, costs, options);
+    bed.Machine().HostDomain().SetSpeed(
+        freq.RatioTo(machine::kReferenceFreq));
 
     auto policy = std::make_shared<sched::VmPolicy>();
     ghost::AgentConfig agent_cfg;
-    std::vector<int> cores;
-    for (int c = 0; c < kLogicalCores; ++c) cores.push_back(c);
-    agent_cfg.cores = cores;
     agent_cfg.prestage = false;  // VMs are ms-scale; no prestaging (§7.2.4)
-    auto agent = std::make_shared<ghost::GhostAgent>(*transport, policy,
-                                                     agent_cfg);
-    std::unique_ptr<AgentContext> host_ctx;
-    if (ticks) {
-        // On-host agent: one polling instance on its own host core.
-        host_ctx = std::make_unique<AgentContext>(
-            sim, machine.HostCpu(kLogicalCores));
-        sim.Spawn(agent->Run(*host_ctx));
-    } else {
-        runtime.StartWaveAgent(agent, 0);
-    }
+    bed.StartAgent(policy, agent_cfg);
 
     // Two VMs x 128 vCPUs: logical core c hosts vCPU A_c and B_c.
     // Active vCPUs fill first hyperthreads (logical 0..63) before the
     // second siblings (64..127), alternating VMs.
+    ghost::KernelSched& kernel = bed.Kernel();
     std::vector<std::shared_ptr<workload::BusyLoopBody>> busy;
     for (int c = 0; c < kLogicalCores; ++c) {
         const ghost::Tid tid_a = 1000 + c;
@@ -113,13 +85,13 @@ MeasureWorkOutput(int active_vcpus, bool ticks)
                              std::make_shared<workload::IdleVcpuBody>());
         }
     }
-    kernel.Start(cores);
+    bed.Start();
 
     // Let placement settle, then measure a fixed window.
-    sim.RunFor(10'000'000);
+    bed.Sim().RunFor(10'000'000);
     std::vector<sim::DurationNs> snapshot;
     for (const auto& body : busy) snapshot.push_back(body->BusyNs());
-    sim.RunFor(kMeasureNs);
+    bed.Sim().RunFor(kMeasureNs);
 
     double work_ghz_s = 0;
     for (std::size_t i = 0; i < busy.size(); ++i) {

@@ -14,15 +14,9 @@
 #include <algorithm>
 
 #include "bench/bench_util.h"
-#include "ghost/agent.h"
-#include "ghost/kernel.h"
-#include "ghost/transport.h"
 #include "sched/fifo.h"
-#include "machine/machine.h"
-#include "sim/simulator.h"
 #include "stats/table.h"
-#include "wave/runtime.h"
-#include "workload/sched_experiment.h"
+#include "workload/testbed.h"
 
 namespace wave {
 namespace {
@@ -36,22 +30,17 @@ using sim::TimeNs;
 DurationNs
 MeasureDecisionOpen(bool on_nic, bool nic_wb)
 {
-    Simulator sim;
-    machine::Machine machine(sim);
-    api::OptimizationConfig opt;
-    opt.nic_wb_ptes = nic_wb;
-    WaveRuntime runtime(sim, machine, pcie::PcieConfig{}, opt);
-
-    std::unique_ptr<ghost::SchedTransport> transport;
-    if (on_nic) {
-        transport = std::make_unique<ghost::WaveSchedTransport>(runtime, 1);
-    } else {
-        transport = std::make_unique<ghost::ShmSchedTransport>(sim, 1);
-    }
+    workload::TestbedConfig tc;
+    tc.placement =
+        on_nic ? workload::Deployment::kWave : workload::Deployment::kOnHost;
+    tc.worker_cores = 1;
+    tc.opt = api::OptimizationConfig::None();
+    tc.opt.nic_wb_ptes = nic_wb;
+    workload::Testbed bed(tc);
 
     DurationNs cost{};
-    sim.Spawn([](Simulator& s, ghost::SchedTransport& t,
-                 DurationNs& out) -> Task<> {
+    bed.Sim().Spawn([](Simulator& s, ghost::SchedTransport& t,
+                       DurationNs& out) -> Task<> {
         ghost::GhostDecision d{};
         d.type = ghost::DecisionType::kRunThread;
         d.tid = 1;
@@ -60,8 +49,8 @@ MeasureDecisionOpen(bool on_nic, bool nic_wb)
         t.AgentStageDecision(d);
         co_await t.AgentCommit(0, /*kick=*/true);
         out = s.Now() - t0;
-    }(sim, *transport, cost));
-    sim.Run();
+    }(bed.Sim(), bed.Transport(), cost));
+    bed.Sim().Run();
     return cost;
 }
 
@@ -100,53 +89,32 @@ MeasureCtxSwitch(workload::Deployment deployment,
     DurationNs lo = ~0ull;
     DurationNs hi{};
     for (int run = 0; run < 5; ++run) {
-        Simulator sim;
-        machine::Machine machine(sim);
-        WaveRuntime runtime(sim, machine, pcie::PcieConfig{}, opt);
-
-        const int cores = 2;
-        std::unique_ptr<ghost::SchedTransport> transport;
-        if (deployment == workload::Deployment::kWave) {
-            transport = std::make_unique<ghost::WaveSchedTransport>(
-                runtime, cores);
-        } else {
-            transport =
-                std::make_unique<ghost::ShmSchedTransport>(sim, cores);
-        }
-        ghost::KernelOptions options;
-        options.prefetch_decisions =
+        workload::TestbedConfig tc;
+        tc.placement = deployment;
+        tc.worker_cores = 2;
+        tc.opt = opt;
+        tc.kernel.prefetch_decisions =
             deployment == workload::Deployment::kOnHost ||
             opt.prestage_prefetch;
-        ghost::KernelSched kernel(sim, machine, *transport,
-                                  ghost::GhostCosts{}, options);
+        workload::Testbed bed(tc);
 
-        auto policy = std::make_shared<sched::FifoPolicy>();
         ghost::AgentConfig agent_cfg;
-        agent_cfg.cores = {0, 1};
         agent_cfg.prestage = prestage;
         agent_cfg.prestage_min_depth = 1;
-        auto agent = std::make_shared<ghost::GhostAgent>(
-            *transport, policy, agent_cfg);
-        std::unique_ptr<AgentContext> host_ctx;
-        if (deployment == workload::Deployment::kWave) {
-            runtime.StartWaveAgent(agent, 0);
-        } else {
-            host_ctx = std::make_unique<AgentContext>(
-                sim, machine.HostCpu(cores));
-            sim.Spawn(agent->Run(*host_ctx));
-        }
+        bed.StartAgent(std::make_shared<sched::FifoPolicy>(), agent_cfg);
 
         for (ghost::Tid tid = 1; tid <= 64; ++tid) {
             // Staggered service times give run-to-run spread.
             const sim::DurationNs service =
                 9'000 + 100 * ((tid + run * 7) % 20);
-            kernel.AddThread(tid, std::make_shared<YieldingBody>(service));
+            bed.Kernel().AddThread(tid,
+                                   std::make_shared<YieldingBody>(service));
         }
-        kernel.Start({0, 1});
-        sim.RunFor(50'000'000);
+        bed.Start();
+        bed.Sim().RunFor(50'000'000);
 
         const DurationNs median =
-            kernel.Stats().ctx_switch_overhead.Percentile(0.50);
+            bed.Kernel().Stats().ctx_switch_overhead.Percentile(0.50);
         lo = std::min(lo, median);
         hi = std::max(hi, median);
     }

@@ -1,46 +1,29 @@
 // wave-domain: harness
 #include "fuzz/runner.h"
 
-#include <algorithm>
-#include <memory>
 #include <sstream>
 #include <vector>
 
 #include "check/coherence.h"
 #include "check/hb.h"
+#include "check/hooks.h"
 #include "check/protocol.h"
-#include "ghost/agent.h"
-#include "ghost/costs.h"
-#include "ghost/kernel.h"
-#include "ghost/supervisor.h"
-#include "ghost/transport.h"
-#include "machine/machine.h"
 #include "pcie/config.h"
-#include "sched/cfs_lite.h"
-#include "sched/fifo.h"
-#include "sched/shinjuku.h"
 #include "sim/random.h"
-#include "sim/simulator.h"
-#include "wave/runtime.h"
-#include "workload/kv_service.h"
-#include "workload/loadgen.h"
+#include "workload/testbed.h"
 
 namespace wave::fuzz {
 
 namespace {
 
-using sim::inject::FaultKind;
-using sim::inject::FaultSpec;
-
-std::shared_ptr<ghost::SchedPolicy>
-MakePolicy(const Scenario& s)
+/** The scenario's policy: 0 fifo, 1 shinjuku, 2 and up mq-shinjuku. */
+workload::PolicyKind
+PolicyOf(const Scenario& s)
 {
-    const auto slice = static_cast<sim::DurationNs>(s.slice_us * 1000);
     switch (s.policy) {
-      case 0: return std::make_shared<sched::FifoPolicy>();
-      case 1: return std::make_shared<sched::ShinjukuPolicy>(slice);
-      default:
-        return std::make_shared<sched::MultiQueueShinjukuPolicy>(slice);
+      case 0: return workload::PolicyKind::kFifo;
+      case 1: return workload::PolicyKind::kShinjuku;
+      default: return workload::PolicyKind::kMultiQueueShinjuku;
     }
 }
 
@@ -97,87 +80,41 @@ RunResult::Describe() const
 RunResult
 RunScenario(const Scenario& s)
 {
-    sim::Simulator sim;
+    workload::TestbedConfig tc;
+    tc.worker_cores = static_cast<int>(s.worker_cores);
+    tc.nic_speed = static_cast<double>(s.nic_speed_permille) / 1000.0;
+    tc.pcie = MakePcie(s);
+    tc.opt.nic_wb_ptes = (s.opt_bits & 1u) != 0u;
+    tc.opt.host_wc_wt_ptes = (s.opt_bits & 2u) != 0u;
+    tc.opt.prestage_prefetch = (s.opt_bits & 4u) != 0u;
+    tc.kernel.prefetch_decisions = tc.opt.prestage_prefetch;
+    tc.kernel.poll_idle = s.poll_mode != 0u;
+    tc.faults = s.faults;
+    workload::Testbed bed(tc);
+    WaveRuntime& runtime = bed.Runtime();
+    // The protocol oracle also checks the kernel's side of the
+    // contract: task state machines and commits against them.
+    WAVE_CHECK_HOOK(bed.Kernel().AttachProtocol(runtime.Protocol()));
 
-    machine::MachineConfig mc;
-    // +1 host core: home for the watchdog-fallback agent (§3.3).
-    mc.host_cores = static_cast<int>(s.worker_cores) + 1;
-    mc.nic_speed = static_cast<double>(s.nic_speed_permille) / 1000.0;
-    machine::Machine machine(sim, mc);
-
-    api::OptimizationConfig opt;
-    opt.nic_wb_ptes = (s.opt_bits & 1u) != 0u;
-    opt.host_wc_wt_ptes = (s.opt_bits & 2u) != 0u;
-    opt.prestage_prefetch = (s.opt_bits & 4u) != 0u;
-
-    WaveRuntime runtime(sim, machine, MakePcie(s), opt);
-
-    // The injector must be attached before the transport exists so the
-    // MSI-X vectors and txn endpoints created inside bind to it.
-    sim::inject::FaultInjector injector(sim);
-    runtime.AttachInjector(&injector);
-
-    const int worker_cores = static_cast<int>(s.worker_cores);
-    std::vector<int> cores;
-    for (int i = 0; i < worker_cores; ++i) cores.push_back(i);
-
-    ghost::WaveSchedTransport transport(runtime, worker_cores);
-
-    ghost::KernelOptions kernel_options;
-    kernel_options.prefetch_decisions = opt.prestage_prefetch;
-    kernel_options.poll_idle = s.poll_mode != 0u;
-    ghost::KernelSched kernel(sim, machine, transport, ghost::GhostCosts{},
-                              kernel_options);
-    kernel.SetFaultInjector(&injector);
-
-    auto policy = MakePolicy(s);
     ghost::AgentConfig agent_cfg;
-    agent_cfg.cores = cores;
     agent_cfg.prestage = s.prestage != 0u;
     agent_cfg.prestage_min_depth = s.prestage_min_depth;
-    agent_cfg.use_kicks = s.poll_mode == 0u;
-    auto agent =
-        std::make_shared<ghost::GhostAgent>(transport, policy, agent_cfg);
-    const AgentId agent_id =
-        runtime.StartWaveAgent(agent, /*nic_core=*/0);
+    bed.StartAgent(
+        workload::MakeSchedPolicy(
+            PolicyOf(s), static_cast<sim::DurationNs>(s.slice_us * 1000)),
+        agent_cfg);
 
-    ghost::SupervisorConfig sup_cfg;
-    sup_cfg.timeout = static_cast<sim::DurationNs>(s.watchdog_timeout_ns);
-    sup_cfg.check_interval =
-        static_cast<sim::DurationNs>(s.watchdog_check_ns);
-    sup_cfg.feed_interval =
-        static_cast<sim::DurationNs>(s.watchdog_check_ns);
-    ghost::AgentSupervisor supervisor(sim, runtime, kernel, sup_cfg);
-    supervisor.Supervise(
-        agent_id, agent,
-        [&transport, &agent_cfg] {
-            // Host fallback: kernel-side CFS-class scheduling over the
-            // same state, as in §3.3 ("falls back to on-host system
-            // software"). Prestaging is an offload optimization; the
-            // fallback runs plain.
-            ghost::AgentConfig fb_cfg = agent_cfg;
-            fb_cfg.prestage = false;
-            return std::make_shared<ghost::GhostAgent>(
-                transport, std::make_shared<sched::CfsLitePolicy>(),
-                fb_cfg);
-        },
-        machine.HostCpu(worker_cores));
+    bed.Supervise(static_cast<sim::DurationNs>(s.watchdog_timeout_ns),
+                  static_cast<sim::DurationNs>(s.watchdog_check_ns));
 
-    auto on_assign = [&policy, &s](ghost::Tid tid, std::uint32_t slo) {
-        if (s.policy >= 2) {
-            static_cast<sched::MultiQueueShinjukuPolicy*>(policy.get())
-                ->SetThreadSlo(tid, slo);
-        }
-    };
-    workload::KvService service(sim, kernel,
-                                static_cast<int>(s.num_workers),
-                                /*first_tid=*/1000, on_assign);
+    workload::KvService& service =
+        bed.AddService(static_cast<int>(s.num_workers));
     const auto arrivals_end =
         static_cast<sim::TimeNs>(s.warmup_ns + s.measure_ns);
     service.SetMeasureWindow(static_cast<sim::TimeNs>(s.warmup_ns),
                              arrivals_end);
 
-    kernel.Start(cores);
+    bed.Start();
 
     workload::LoadGenConfig lg;
     lg.rate_rps = static_cast<double>(s.offered_rps);
@@ -188,42 +125,21 @@ RunScenario(const Scenario& s)
     // The arrival process draws from its own named stream so the same
     // workload replays regardless of what the fault stream consumed.
     lg.seed = sim::StreamSeed(s.seed, "workload");
-    sim.Spawn(workload::RunLoadGenerator(sim, service, lg));
+    bed.SpawnLoad(lg);
 
-    const std::vector<FaultSpec>& schedule = s.faults;
-    const double nic_base_speed = machine.NicDomain().Speed();
-    injector.SetActionHandler([&](const FaultSpec& f, bool begin) {
-        switch (f.kind) {
-          case FaultKind::kAgentCrash:
-            if (begin) runtime.KillWaveAgent(agent_id);
-            break;
-          case FaultKind::kAgentStall:
-            if (begin) runtime.StallWaveAgent(agent_id, f.duration);
-            break;
-          case FaultKind::kNicSlowdown: {
-            const double scale =
-                static_cast<double>(std::max<std::uint64_t>(f.param, 1)) /
-                1000.0;
-            machine.NicDomain().SetSpeed(begin ? nic_base_speed * scale
-                                               : nic_base_speed);
-            break;
-          }
-          default:
-            break;
-        }
-    });
-    injector.Arm(schedule);
+    bed.ArmFaults();
 
-    sim.RunUntil(static_cast<sim::TimeNs>(s.warmup_ns + s.measure_ns +
-                                          s.drain_ns));
+    bed.Sim().RunUntil(static_cast<sim::TimeNs>(
+        s.warmup_ns + s.measure_ns + s.drain_ns));
 
+    const ghost::AgentSupervisor& supervisor = *bed.Supervisor();
     RunResult result;
-    result.event_hash = sim.EventHash();
+    result.event_hash = bed.Sim().EventHash();
     result.completed = service.Completed();
     result.pending_at_end = service.PendingDepth();
-    result.commits_failed = kernel.Stats().commits_failed;
-    result.agent_decisions = agent->Stats().decisions;
-    result.inject = injector.Stats();
+    result.commits_failed = bed.Kernel().Stats().commits_failed;
+    result.agent_decisions = bed.Agent().Stats().decisions;
+    if (bed.Injector() != nullptr) result.inject = bed.Injector()->Stats();
     result.watchdog_expiries = supervisor.Stats().expiries;
     result.fallback_active = supervisor.Stats().fallback_active;
     result.fallback_at = supervisor.Stats().fallback_at.ns();
@@ -233,6 +149,9 @@ RunScenario(const Scenario& s)
                 [](const auto& v) { return v.Describe(); });
     }
     if (runtime.Protocol() != nullptr) {
+        result.commits_checked = runtime.Protocol()->Stats().commits_checked;
+        result.task_transitions =
+            runtime.Protocol()->Stats().task_transitions;
         Collect(result, "protocol", runtime.Protocol()->Violations(),
                 [](const auto& v) { return v.Describe(); });
     }

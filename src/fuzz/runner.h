@@ -2,20 +2,24 @@
  * @file
  * Executes one fuzz Scenario under the checker oracles.
  *
- * The runner builds the same deployment shape as the §7.2 experiment
- * harness — machine, Wave transport, ghOSt kernel, agent on a NIC core,
- * KV service, open-loop load generator — but adds:
+ * The runner builds its deployment through workload::Testbed, like
+ * the §7.2 experiment harness — machine, Wave transport, ghOSt kernel,
+ * agent on a NIC core, KV service, open-loop load generator — and uses
+ * the builder's optional stages:
  *
- *   - a sim::inject::FaultInjector armed with the scenario's schedule,
- *     wired into the PCIe fabric, kernel, and txn endpoints;
- *   - an AgentSupervisor (watchdog + host fallback) so agent crash and
- *     wedge faults exercise the §3.3 recovery path;
- *   - a drain phase after arrivals stop, long enough for the fallback
- *     to absorb any backlog.
+ *   - the scenario's fault schedule, wired into the PCIe fabric,
+ *     kernel, and txn endpoints;
+ *   - supervision (watchdog + host fallback) so agent crash and wedge
+ *     faults exercise the §3.3 recovery path;
+ *
+ * plus a drain phase after arrivals stop, long enough for the fallback
+ * to absorb any backlog.
  *
  * Oracles, evaluated after the run:
  *   1. coherence  — CoherenceChecker::Violations() must be empty,
- *   2. protocol   — ProtocolChecker::Violations() must be empty,
+ *   2. protocol   — ProtocolChecker::Violations() must be empty; the
+ *                   kernel is attached, so its commits and task state
+ *                   machines are checked along with the queues,
  *   3. hb-race    — HbRaceDetector::Races() must be empty,
  *   4. liveness   — with require_progress, every accepted request must
  *                   have completed and progress must resume after the
@@ -47,6 +51,8 @@ struct RunResult {
     std::uint64_t pending_at_end = 0;  ///< requests still queued at stop
     std::uint64_t commits_failed = 0;
     std::uint64_t agent_decisions = 0;
+    std::uint64_t commits_checked = 0;   ///< protocol checker: kernel commits
+    std::uint64_t task_transitions = 0;  ///< protocol checker: task states
     sim::inject::InjectStats inject;   ///< per-kind fault hit counts
     std::uint64_t watchdog_expiries = 0;
     bool fallback_active = false;      ///< host fallback agent took over

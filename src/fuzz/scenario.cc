@@ -2,6 +2,7 @@
 #include "fuzz/scenario.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -16,16 +17,21 @@ using sim::inject::FaultKind;
 using sim::inject::FaultKindName;
 using sim::inject::FaultSpec;
 
-/** The scalar fields, in artifact order. Faults serialize separately. */
+/**
+ * The scalar fields, in artifact order. Faults serialize separately.
+ * A `nonzero` field cannot run at zero: no cores to schedule, no
+ * arrivals, or a watchdog that never advances time.
+ */
 struct Field {
     const char* key;
     std::uint64_t Scenario::* member;
+    bool nonzero = false;
 };
 
 constexpr Field kFields[] = {
     {"seed", &Scenario::seed},
-    {"worker_cores", &Scenario::worker_cores},
-    {"num_workers", &Scenario::num_workers},
+    {"worker_cores", &Scenario::worker_cores, true},
+    {"num_workers", &Scenario::num_workers, true},
     {"nic_speed_permille", &Scenario::nic_speed_permille},
     {"policy", &Scenario::policy},
     {"opt_bits", &Scenario::opt_bits},
@@ -38,7 +44,7 @@ constexpr Field kFields[] = {
     {"posted_visibility_ns", &Scenario::posted_visibility_ns},
     {"msix_end_to_end_ns", &Scenario::msix_end_to_end_ns},
     {"dma_setup_ns", &Scenario::dma_setup_ns},
-    {"offered_rps", &Scenario::offered_rps},
+    {"offered_rps", &Scenario::offered_rps, true},
     {"get_permille", &Scenario::get_permille},
     {"get_service_ns", &Scenario::get_service_ns},
     {"range_service_ns", &Scenario::range_service_ns},
@@ -46,7 +52,7 @@ constexpr Field kFields[] = {
     {"measure_ns", &Scenario::measure_ns},
     {"drain_ns", &Scenario::drain_ns},
     {"watchdog_timeout_ns", &Scenario::watchdog_timeout_ns},
-    {"watchdog_check_ns", &Scenario::watchdog_check_ns},
+    {"watchdog_check_ns", &Scenario::watchdog_check_ns, true},
     {"require_progress", &Scenario::require_progress},
 };
 
@@ -68,6 +74,18 @@ ParseKind(const std::string& name, FaultKind* out)
         }
     }
     return false;
+}
+
+/**
+ * Parses a whole token as an unsigned decimal. Unlike `>>` into
+ * uint64_t or std::stoull, a sign is an error rather than a wrap.
+ */
+bool
+ParseCount(const std::string& token, std::uint64_t* out)
+{
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+    return ec == std::errc() && ptr == end;
 }
 
 /** Inclusive uniform draw, as a plain helper over the xoshiro stream. */
@@ -266,9 +284,7 @@ ScenarioFromString(const std::string& text, Scenario* out,
                 }
                 const std::string attr = tok.substr(0, eq);
                 std::uint64_t value = 0;
-                try {
-                    value = std::stoull(tok.substr(eq + 1));
-                } catch (...) {
+                if (!ParseCount(tok.substr(eq + 1), &value)) {
                     return fail("bad number in '" + tok + "'");
                 }
                 if (attr == "at") {
@@ -292,8 +308,15 @@ ScenarioFromString(const std::string& text, Scenario* out,
             }
         }
         if (field == nullptr) return fail("unknown key '" + key + "'");
+        std::string token;
+        if (!(ls >> token)) return fail("missing value for '" + key + "'");
         std::uint64_t value = 0;
-        if (!(ls >> value)) return fail("missing value for '" + key + "'");
+        if (!ParseCount(token, &value)) {
+            return fail("bad value '" + token + "' for '" + key + "'");
+        }
+        if (field->nonzero && value == 0) {
+            return fail("'" + key + "' must be nonzero");
+        }
         s.*(field->member) = value;
     }
     *out = std::move(s);

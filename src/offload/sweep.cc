@@ -1,62 +1,28 @@
 // wave-domain: host
 #include "offload/sweep.h"
 
-#include <algorithm>
 #include <memory>
-#include <optional>
 
-#include "ghost/agent.h"
-#include "ghost/kernel.h"
-#include "ghost/supervisor.h"
-#include "ghost/transport.h"
-#include "machine/machine.h"
-#include "pcie/config.h"
-#include "sched/cfs_lite.h"
-#include "sched/shinjuku.h"
 #include "sim/random.h"
-#include "sim/simulator.h"
-#include "wave/runtime.h"
-#include "workload/kv_service.h"
-#include "workload/loadgen.h"
+#include "workload/testbed.h"
 
 namespace wave::offload {
-
-using sim::inject::FaultInjector;
-using sim::inject::FaultKind;
-using sim::inject::FaultSpec;
 
 OffloadSweepResult
 RunOffloadSweep(const OffloadSweepConfig& cfg)
 {
-    sim::Simulator sim;
+    workload::TestbedConfig tc;
+    tc.worker_cores = cfg.worker_cores;
+    tc.nic_cores = cfg.nic_cores;
+    tc.opt = api::OptimizationConfig::None();
+    tc.faults = cfg.faults;
+    workload::Testbed bed(tc);
+    sim::Simulator& sim = bed.Sim();
+    machine::Machine& machine = bed.Machine();
 
-    machine::MachineConfig mc;
-    // +1 host core: home for the watchdog-fallback agent (§3.3).
-    mc.host_cores = cfg.worker_cores + 1;
-    mc.nic_cores = cfg.nic_cores;
-    machine::Machine machine(sim, mc);
-
-    WaveRuntime runtime(sim, machine, pcie::PcieConfig{},
-                        api::OptimizationConfig{});
-
-    // The injector must be attached before the transport exists so the
-    // MSI-X vectors and txn endpoints created inside bind to it. An
-    // armed-empty injector is fingerprint-identical, so fault-free
-    // sweeps share goldens with this wiring in place.
-    FaultInjector injector(sim);
-    runtime.AttachInjector(&injector);
-
-    std::vector<int> worker_cores;
-    for (int i = 0; i < cfg.worker_cores; ++i) worker_cores.push_back(i);
-
-    ghost::WaveSchedTransport transport(runtime, cfg.worker_cores);
-
-    ghost::KernelSched kernel(sim, machine, transport, ghost::GhostCosts{},
-                              ghost::KernelOptions{});
-    kernel.SetFaultInjector(&injector);
-
-    auto policy =
-        std::make_shared<sched::MultiQueueShinjukuPolicy>(cfg.slice_ns);
+    const std::shared_ptr<ghost::SchedPolicy> policy =
+        workload::MakeSchedPolicy(workload::PolicyKind::kMultiQueueShinjuku,
+                                  cfg.slice_ns);
 
     // --- the offload datapath ---
     const bool datapath = cfg.core_share > 0 && cfg.nic_cores > 1;
@@ -71,7 +37,6 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
     const sim::TimeNs measure_end{cfg.warmup_ns + cfg.measure_ns};
 
     ghost::AgentConfig agent_cfg;
-    agent_cfg.cores = worker_cores;
     agent_cfg.iter_window_begin = measure_begin;
     agent_cfg.iter_window_end = measure_end;
     if (datapath) {
@@ -92,44 +57,17 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
             return pipeline.RunColocatedSlice(ctx.Cpu(), b);
         };
     }
-    auto agent =
-        std::make_shared<ghost::GhostAgent>(transport, policy, agent_cfg);
-    const AgentId agent_id = runtime.StartWaveAgent(agent, /*nic_core=*/0);
+    bed.StartAgent(policy, std::move(agent_cfg));
 
-    std::optional<ghost::AgentSupervisor> supervisor;
     if (cfg.supervise) {
-        ghost::SupervisorConfig sup_cfg;
-        sup_cfg.timeout =
-            static_cast<sim::DurationNs>(cfg.watchdog_timeout_ns);
-        sup_cfg.check_interval =
-            static_cast<sim::DurationNs>(cfg.watchdog_check_ns);
-        sup_cfg.feed_interval =
-            static_cast<sim::DurationNs>(cfg.watchdog_check_ns);
-        supervisor.emplace(sim, runtime, kernel, sup_cfg);
-        supervisor->Supervise(
-            agent_id, agent,
-            [&transport, &agent_cfg] {
-                // Host fallback: plain CFS-class scheduling, no
-                // prestaging and no datapath slice — the datapath
-                // stays on its dedicated NIC cores.
-                ghost::AgentConfig fb_cfg = agent_cfg;
-                fb_cfg.prestage = false;
-                fb_cfg.aux_stage = nullptr;
-                return std::make_shared<ghost::GhostAgent>(
-                    transport, std::make_shared<sched::CfsLitePolicy>(),
-                    fb_cfg);
-            },
-            machine.HostCpu(cfg.worker_cores));
+        bed.Supervise(static_cast<sim::DurationNs>(cfg.watchdog_timeout_ns),
+                      static_cast<sim::DurationNs>(cfg.watchdog_check_ns));
     }
 
-    auto on_assign = [&policy](ghost::Tid tid, std::uint32_t slo) {
-        policy->SetThreadSlo(tid, slo);
-    };
-    workload::KvService service(sim, kernel, cfg.num_workers,
-                                /*first_tid=*/1000, on_assign);
+    workload::KvService& service = bed.AddService(cfg.num_workers);
     service.SetMeasureWindow(measure_begin, measure_end);
 
-    kernel.Start(worker_cores);
+    bed.Start();
 
     workload::LoadGenConfig lg;
     lg.rate_rps = cfg.offered_rps;
@@ -138,7 +76,7 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
     lg.range_service_ns = cfg.range_service_ns;
     lg.end_time = measure_end;
     lg.seed = sim::StreamSeed(cfg.seed, "workload");
-    sim.Spawn(workload::RunLoadGenerator(sim, service, lg));
+    bed.SpawnLoad(lg);
 
     if (datapath) {
         for (int core = 1; core < cfg.nic_cores; ++core) {
@@ -159,31 +97,7 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
         sim.Spawn(RunPacketGenerator(sim, pipeline, pg));
     }
 
-    // Fault actions, wired exactly like the fuzzer (fuzz/runner.cc).
-    const double nic_base_speed = machine.NicDomain().Speed();
-    injector.SetActionHandler([&runtime, &machine, agent_id,
-                               nic_base_speed](const FaultSpec& f,
-                                               bool begin) {
-        switch (f.kind) {
-          case FaultKind::kAgentCrash:
-            if (begin) runtime.KillWaveAgent(agent_id);
-            break;
-          case FaultKind::kAgentStall:
-            if (begin) runtime.StallWaveAgent(agent_id, f.duration);
-            break;
-          case FaultKind::kNicSlowdown: {
-            const double scale =
-                static_cast<double>(std::max<std::uint64_t>(f.param, 1)) /
-                1000.0;
-            machine.NicDomain().SetSpeed(begin ? nic_base_speed * scale
-                                               : nic_base_speed);
-            break;
-          }
-          default:
-            break;
-        }
-    });
-    injector.Arm(cfg.faults);
+    bed.ArmFaults();
 
     // Occupancy snapshots bracketing the measure window.
     machine::Cpu::Occupancy agent_core_begin{}, agent_core_end{};
@@ -210,8 +124,8 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
                              cfg.drain_ns});
 
     OffloadSweepResult r;
-    r.agent_iterations = agent->Stats().iterations;
-    const stats::Histogram& iter = agent->IterationLatency();
+    r.agent_iterations = bed.Agent().Stats().iterations;
+    const stats::Histogram& iter = bed.Agent().IterationLatency();
     r.agent_iter_p50 = iter.Percentile(0.50);
     r.agent_iter_p99 = iter.Percentile(0.99);
     r.agent_iter_p999 = iter.Percentile(0.999);
@@ -254,7 +168,7 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
     r.datapath_core_busy =
         cfg.nic_cores > 1 ? dp_sum / (cfg.nic_cores - 1) : 0.0;
 
-    if (supervisor) {
+    if (const ghost::AgentSupervisor* supervisor = bed.Supervisor()) {
         r.watchdog_expiries = supervisor->Stats().expiries;
         r.fallback_active = supervisor->Stats().fallback_active;
         r.fallback_at_ns =

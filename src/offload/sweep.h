@@ -14,10 +14,11 @@
  * reaction time (iteration tail latency) and its policy quality (KV
  * p99) degrade?
  *
- * The harness also carries the fault-injection knobs (NIC slowdown,
- * agent stall/crash via sim::inject) and the AgentSupervisor watchdog
- * so recovery tests can drive fault interplay through the same wiring
- * the fuzzer uses.
+ * The deployment is built by workload::Testbed. The harness also
+ * carries the fault-injection knobs (NIC slowdown, agent stall/crash
+ * via sim::inject) and the AgentSupervisor watchdog; both go through
+ * the builder's stages, so recovery tests drive fault interplay through
+ * the same wiring the fuzzer uses.
  */
 // wave-domain: host
 #pragma once

@@ -4,16 +4,9 @@
 #include <deque>
 #include <utility>
 
-#include "ghost/agent.h"
-#include "ghost/kernel.h"
-#include "ghost/transport.h"
-#include "machine/machine.h"
 #include "rpc/rpc_stack.h"
-#include "sched/shinjuku.h"
 #include "stats/histogram.h"
-#include "wave/runtime.h"
-#include "workload/kv_service.h"
-#include "workload/loadgen.h"
+#include "workload/testbed.h"
 
 namespace wave::rpc {
 
@@ -123,56 +116,29 @@ GenerateRpcLoad(sim::Simulator& sim, RpcStack& stack,
 RpcExperimentResult
 RunRpcExperiment(const RpcExperimentConfig& cfg)
 {
-    sim::Simulator sim;
-
-    machine::MachineConfig mc;
-    // Enough host cores for workers + possible host agent + host RPC.
-    mc.host_cores = cfg.rocksdb_cores + 1 +
-                    (cfg.scenario == RpcScenario::kOnHostAll
-                         ? cfg.rpc_cores
-                         : 0);
-    if (cfg.nic_speed > 0) mc.nic_speed = cfg.nic_speed;
-    machine::Machine machine(sim, mc);
-
-    WaveRuntime runtime(sim, machine, cfg.pcie,
-                        api::OptimizationConfig::Full());
+    workload::TestbedConfig tc;
+    tc.placement = cfg.scenario == RpcScenario::kOffloadAll
+                       ? workload::Deployment::kWave
+                       : workload::Deployment::kOnHost;
+    tc.worker_cores = cfg.rocksdb_cores;
+    tc.extra_host_cores =
+        cfg.scenario == RpcScenario::kOnHostAll ? cfg.rpc_cores : 0;
+    tc.nic_speed = cfg.nic_speed;
+    tc.pcie = cfg.pcie;
+    workload::Testbed bed(tc);
+    sim::Simulator& sim = bed.Sim();
 
     const ScenarioCosts costs = CostsFor(cfg.scenario, cfg.pcie);
-
-    // --- scheduling stack ---
-    std::vector<int> worker_cores;
-    for (int i = 0; i < cfg.rocksdb_cores; ++i) worker_cores.push_back(i);
-
-    std::unique_ptr<ghost::SchedTransport> transport;
-    const bool sched_on_nic = cfg.scenario == RpcScenario::kOffloadAll;
-    if (sched_on_nic) {
-        transport = std::make_unique<ghost::WaveSchedTransport>(
-            runtime, cfg.rocksdb_cores);
-    } else {
-        transport = std::make_unique<ghost::ShmSchedTransport>(
-            sim, cfg.rocksdb_cores);
-    }
-    ghost::KernelSched kernel(sim, machine, *transport);
-
-    std::shared_ptr<ghost::SchedPolicy> policy;
-    sched::MultiQueueShinjukuPolicy* mq_policy = nullptr;
-    if (cfg.multi_queue) {
-        auto mq =
-            std::make_shared<sched::MultiQueueShinjukuPolicy>(cfg.slice_ns);
-        mq_policy = mq.get();
-        policy = mq;
-    } else {
-        policy = std::make_shared<sched::ShinjukuPolicy>(cfg.slice_ns);
-    }
 
     // --- RPC stack ---
     std::vector<machine::Cpu*> rpc_cpus;
     for (int i = 0; i < cfg.rpc_cores; ++i) {
         if (costs.rpc_on_nic) {
             // NIC cores after the scheduler agent's core 0.
-            rpc_cpus.push_back(&machine.NicCpu(1 + i));
+            rpc_cpus.push_back(&bed.Machine().NicCpu(1 + i));
         } else {
-            rpc_cpus.push_back(&machine.HostCpu(cfg.rocksdb_cores + 1 + i));
+            rpc_cpus.push_back(
+                &bed.Machine().HostCpu(cfg.rocksdb_cores + 1 + i));
         }
     }
     RpcStack stack(sim, rpc_cpus, RpcCosts{});
@@ -192,13 +158,7 @@ RunRpcExperiment(const RpcExperimentConfig& cfg)
     const sim::TimeNs window_start{cfg.warmup_ns};
     const sim::TimeNs window_end{cfg.warmup_ns + cfg.measure_ns};
 
-    auto on_assign = [&](ghost::Tid tid, std::uint32_t slo) {
-        if (mq_policy != nullptr) {
-            mq_policy->SetThreadSlo(tid, slo);
-        }
-    };
-    workload::KvService service(sim, kernel, cfg.num_workers, 1000,
-                                on_assign);
+    workload::KvService& service = bed.AddService(cfg.num_workers);
     service.SetCompletionHook([&](const Request& request) {
         stack.ProcessResponse(request, [&, arrival = request.arrival,
                                         kind = request.kind](Request) {
@@ -211,7 +171,6 @@ RunRpcExperiment(const RpcExperimentConfig& cfg)
     });
 
     ghost::AgentConfig agent_cfg;
-    agent_cfg.cores = worker_cores;
     agent_cfg.prestage = true;
     agent_cfg.prestage_min_depth = 4;
     // The adapter lambda is not itself a coroutine: it reads its
@@ -221,19 +180,14 @@ RunRpcExperiment(const RpcExperimentConfig& cfg)
     agent_cfg.aux_stage = [&steering](AgentContext& ctx) {
         return RunSteeringStage(steering, ctx);
     };
-    auto agent = std::make_shared<ghost::GhostAgent>(*transport, policy,
-                                                     agent_cfg);
+    bed.StartAgent(workload::MakeSchedPolicy(
+                       cfg.multi_queue
+                           ? workload::PolicyKind::kMultiQueueShinjuku
+                           : workload::PolicyKind::kShinjuku,
+                       cfg.slice_ns),
+                   std::move(agent_cfg));
 
-    std::unique_ptr<AgentContext> host_agent_ctx;
-    if (sched_on_nic) {
-        runtime.StartWaveAgent(agent, /*nic_core=*/0);
-    } else {
-        host_agent_ctx = std::make_unique<AgentContext>(
-            sim, machine.HostCpu(cfg.rocksdb_cores));
-        sim.Spawn(agent->Run(*host_agent_ctx));
-    }
-
-    kernel.Start(worker_cores);
+    bed.Start();
 
     // --- load generation: arrivals land at the RPC stack ---
     sim.Spawn(GenerateRpcLoad(sim, stack, steering_queue, cfg));
@@ -248,7 +202,7 @@ RunRpcExperiment(const RpcExperimentConfig& cfg)
     result.get_p50 = latency[0].Percentile(0.50);
     result.get_p99 = latency[0].Percentile(0.99);
     result.range_p99 = latency[1].Percentile(0.99);
-    result.preemptions = kernel.Stats().preemptions;
+    result.preemptions = bed.Kernel().Stats().preemptions;
     result.steered = steering.steered;
     result.event_hash = sim.EventHash();
     return result;

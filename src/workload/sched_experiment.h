@@ -2,12 +2,12 @@
  * @file
  * Reusable harness for the §7.2 scheduling experiments.
  *
- * Builds one complete simulated deployment — machine, transport
- * (on-host shared memory or Wave/PCIe), ghOSt kernel, scheduling agent,
- * KV service, load generator — runs one offered-load point, and reports
- * throughput and latency. The Figure 4 benches sweep offered load over
- * this; the §7.2.2 optimization-ladder bench sweeps OptimizationConfig;
- * tests pin single points.
+ * Builds one complete simulated deployment through workload::Testbed —
+ * machine, transport (on-host shared memory or Wave/PCIe), ghOSt
+ * kernel, scheduling agent, KV service, load generator — runs one
+ * offered-load point, and reports throughput and latency. The Figure 4
+ * benches sweep offered load over this; the §7.2.2 optimization-ladder
+ * bench sweeps OptimizationConfig; tests pin single points.
  */
 // wave-domain: host
 #pragma once
@@ -29,21 +29,9 @@
 #include "workload/kv_service.h"
 #include "workload/ladder.h"
 #include "workload/loadgen.h"
+#include "workload/testbed.h"
 
 namespace wave::workload {
-
-/** Which scheduling policy the experiment runs. */
-enum class PolicyKind {
-    kFifo,
-    kShinjuku,
-    kMultiQueueShinjuku,
-};
-
-/** Where the agent runs. */
-enum class Deployment {
-    kOnHost,  ///< agent on a dedicated host core, shared-memory queues
-    kWave,    ///< agent on a SmartNIC core, PCIe queues (offloaded)
-};
 
 /** Full experiment configuration for one load point. */
 struct SchedExperimentConfig {

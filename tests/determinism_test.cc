@@ -40,6 +40,7 @@
 #include "wave/runtime.h"
 #include "workload/busy_loop.h"
 #include "workload/sched_experiment.h"
+#include "workload/testbed.h"
 
 namespace wave {
 namespace {
@@ -444,47 +445,25 @@ std::uint64_t
 GoldenFig5VmTurbo(bool ticks)
 {
     constexpr int kCores = 8;
-    sim::Simulator sim;
-    machine::MachineConfig mc;
-    mc.host_cores = kCores + 1;
-    machine::Machine machine(sim, mc);
+    workload::TestbedConfig tc;
+    tc.placement =
+        ticks ? workload::Deployment::kOnHost : workload::Deployment::kWave;
+    tc.worker_cores = kCores;
+    tc.kernel.timer_ticks = ticks;
+    workload::Testbed bed(tc);
 
     machine::TurboModel turbo;
     const machine::FreqGhz freq =
         turbo.Frequency(3, /*idle_cores_deep=*/!ticks);
-    machine.HostDomain().SetSpeed(freq.RatioTo(machine::kReferenceFreq));
-
-    WaveRuntime runtime(sim, machine, pcie::PcieConfig{},
-                        api::OptimizationConfig::Full());
-    std::unique_ptr<ghost::SchedTransport> transport;
-    if (ticks) {
-        transport = std::make_unique<ghost::ShmSchedTransport>(sim, kCores);
-    } else {
-        transport =
-            std::make_unique<ghost::WaveSchedTransport>(runtime, kCores);
-    }
-    ghost::GhostCosts costs;
-    ghost::KernelOptions options;
-    options.timer_ticks = ticks;
-    ghost::KernelSched kernel(sim, machine, *transport, costs, options);
+    bed.Machine().HostDomain().SetSpeed(
+        freq.RatioTo(machine::kReferenceFreq));
 
     auto policy = std::make_shared<sched::VmPolicy>();
     ghost::AgentConfig agent_cfg;
-    std::vector<int> cores;
-    for (int c = 0; c < kCores; ++c) cores.push_back(c);
-    agent_cfg.cores = cores;
     agent_cfg.prestage = false;
-    auto agent = std::make_shared<ghost::GhostAgent>(*transport, policy,
-                                                     agent_cfg);
-    std::unique_ptr<AgentContext> host_ctx;
-    if (ticks) {
-        host_ctx = std::make_unique<AgentContext>(
-            sim, machine.HostCpu(kCores));
-        sim.Spawn(agent->Run(*host_ctx));
-    } else {
-        runtime.StartWaveAgent(agent, 0);
-    }
+    bed.StartAgent(policy, agent_cfg);
 
+    ghost::KernelSched& kernel = bed.Kernel();
     for (int c = 0; c < kCores; ++c) {
         const ghost::Tid tid_a = 1000 + c;
         const ghost::Tid tid_b = 2000 + c;
@@ -502,11 +481,11 @@ GoldenFig5VmTurbo(bool ticks)
                              std::make_shared<workload::IdleVcpuBody>());
         }
     }
-    kernel.Start(cores);
+    bed.Start();
 
-    sim.RunFor(2'000'000);
-    sim.RunFor(5'000'000);
-    return sim.EventHash();
+    bed.Sim().RunFor(2'000'000);
+    bed.Sim().RunFor(5'000'000);
+    return bed.Sim().EventHash();
 }
 
 /** Fig 6 family: RPC steering experiment (6a single / 6b multi queue). */

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "fuzz/runner.h"
 #include "fuzz/scenario.h"
@@ -80,6 +81,24 @@ TEST(FuzzScenario, ArtifactRoundTripsExactly)
     EXPECT_NE(error.find("bogus_key"), std::string::npos);
     EXPECT_FALSE(
         ScenarioFromString("fault no-such-kind at=1\n", &parsed, &error));
+
+    // Values no run can use are rejected, and the error names the key.
+    // A negative token would otherwise wrap to 2^64 - 1.
+    const std::pair<const char*, const char*> kUnrunnable[] = {
+        {"drain_ns -1\n", "drain_ns"},
+        {"seed -3\n", "seed"},
+        {"worker_cores 0\n", "worker_cores"},
+        {"num_workers 0\n", "num_workers"},
+        {"offered_rps 0\n", "offered_rps"},
+        {"watchdog_check_ns 0\n", "watchdog_check_ns"},
+        {"fault agent-stall at=-1 dur=5 param=0\n", "at=-1"},
+        {"fault mmio-delay at=5 dur=-1 param=0\n", "dur=-1"},
+        {"fault mmio-delay at=5 dur=5 param=-7\n", "param=-7"},
+    };
+    for (const auto& [input, key] : kUnrunnable) {
+        EXPECT_FALSE(ScenarioFromString(input, &parsed, &error)) << input;
+        EXPECT_NE(error.find(key), std::string::npos) << error;
+    }
 }
 
 TEST(FuzzSmoke, BenignSweepIsCleanAndDeterministic)
@@ -92,6 +111,10 @@ TEST(FuzzSmoke, BenignSweepIsCleanAndDeterministic)
         const RunResult r = RunScenarioTwice(s);
         EXPECT_TRUE(r.Ok()) << "seed " << seed << ":\n" << r.Describe();
         EXPECT_GT(r.completed, 0u) << "seed " << seed;
+        // The protocol oracle sees the kernel's side too: its commits
+        // and task-state transitions, not only the queues.
+        EXPECT_GT(r.commits_checked, 0u) << "seed " << seed;
+        EXPECT_GT(r.task_transitions, 0u) << "seed " << seed;
     }
 }
 

@@ -34,7 +34,8 @@ struct Capture {
 Capture
 Fuzz(std::uint64_t seed)
 {
-    const fuzz::RunResult r = fuzz::RunScenario(fuzz::GenerateScenario(seed));
+    const fuzz::RunResult r =
+        fuzz::RunScenario(fuzz::GenerateScenario(seed));
     return {r.event_hash, r.completed};
 }
 
@@ -49,7 +50,8 @@ Sched(workload::Deployment deployment, std::uint64_t seed)
     cfg.warmup_ns = 5'000'000;
     cfg.measure_ns = 20'000'000;
     cfg.seed = seed;
-    const workload::SchedExperimentResult r = workload::RunSchedExperiment(cfg);
+    const workload::SchedExperimentResult r =
+        workload::RunSchedExperiment(cfg);
     return {r.event_hash, r.completed};
 }
 
@@ -102,33 +104,32 @@ struct Family {
     Capture (*run)(std::uint64_t seed);
 };
 
+using offload::Placement;
+using rpc::RpcScenario;
+using workload::Deployment;
+
 constexpr Family kFamilies[] = {
     {"fuzz", Fuzz},
-    {"sched-wave",
-     [](std::uint64_t seed) { return Sched(workload::Deployment::kWave, seed); }},
+    {"sched-wave", [](std::uint64_t s) { return Sched(Deployment::kWave, s); }},
     {"sched-onhost",
-     [](std::uint64_t seed) {
-         return Sched(workload::Deployment::kOnHost, seed);
-     }},
+     [](std::uint64_t s) { return Sched(Deployment::kOnHost, s); }},
     {"rpc-offload",
-     [](std::uint64_t seed) { return Rpc(rpc::RpcScenario::kOffloadAll, seed); }},
+     [](std::uint64_t s) { return Rpc(RpcScenario::kOffloadAll, s); }},
     {"rpc-onhost-all",
-     [](std::uint64_t seed) { return Rpc(rpc::RpcScenario::kOnHostAll, seed); }},
+     [](std::uint64_t s) { return Rpc(RpcScenario::kOnHostAll, s); }},
     {"rpc-onhost-sched",
-     [](std::uint64_t seed) {
-         return Rpc(rpc::RpcScenario::kOnHostScheduler, seed);
-     }},
+     [](std::uint64_t s) { return Rpc(RpcScenario::kOnHostScheduler, s); }},
     {"offload-rtc",
-     [](std::uint64_t seed) {
-         return Offload(offload::Placement::kRunToCompletion, 0.5, false, seed);
+     [](std::uint64_t s) {
+         return Offload(Placement::kRunToCompletion, 0.5, false, s);
      }},
     {"offload-pipelined",
-     [](std::uint64_t seed) {
-         return Offload(offload::Placement::kPipelined, 0.75, false, seed);
+     [](std::uint64_t s) {
+         return Offload(Placement::kPipelined, 0.75, false, s);
      }},
     {"offload-supervised",
-     [](std::uint64_t seed) {
-         return Offload(offload::Placement::kRunToCompletion, 0.5, true, seed);
+     [](std::uint64_t s) {
+         return Offload(Placement::kRunToCompletion, 0.5, true, s);
      }},
 };
 
@@ -145,7 +146,9 @@ int main(int argc, char** argv)
     }
     if (family == nullptr) {
         std::fprintf(stderr, "families:");
-        for (const Family& f : kFamilies) std::fprintf(stderr, " %s", f.name);
+        for (const Family& f : kFamilies) {
+            std::fprintf(stderr, " %s", f.name);
+        }
         std::fprintf(stderr, "\n");
         return 2;
     }
