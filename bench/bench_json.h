@@ -20,7 +20,6 @@
  * key on them, so renaming one is a breaking change to the trajectory.
  * `value` is always a double; `unit` is informational.
  */
-// wave-domain: harness
 #pragma once
 
 #include <cstdio>

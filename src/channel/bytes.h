@@ -7,7 +7,6 @@
  * reinterpretation in one audited place.
  */
 // wave-domain: pcie
-// wave-shared(value type with no global state; each Bytes instance is owned by the shard holding it, and the seam moves copies)
 // wave-hot
 #pragma once
 

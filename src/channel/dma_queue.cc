@@ -1,5 +1,4 @@
 // wave-domain: pcie
-// wave-shared(DMA-batched ring crossing the seam; producer and consumer live on different shards and rendezvous through the modeled DMA engine)
 // wave-hot
 #include "channel/dma_queue.h"
 

@@ -19,7 +19,6 @@
  * gains from async DMA, which bench_queue_primitives reproduces).
  */
 // wave-domain: pcie
-// wave-shared(DMA-batched ring crossing the seam; producer and consumer live on different shards and rendezvous through the modeled DMA engine)
 // wave-hot
 #pragma once
 

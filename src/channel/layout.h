@@ -22,7 +22,6 @@
  * one PCIe roundtrip.
  */
 // wave-domain: pcie
-// wave-shared(immutable ring-layout geometry computed at setup and read-only afterwards on both shards)
 // wave-hot
 #pragma once
 

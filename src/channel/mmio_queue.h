@@ -17,7 +17,6 @@
  * caching, clflush-based software coherence, and prefetching.
  */
 // wave-domain: pcie
-// wave-shared(host/nic ring endpoints over one BAR window — the sanctioned cross-domain channel; a parallel executor must treat ring head/tail state as a synchronization point between the two shards)
 // wave-hot
 #pragma once
 

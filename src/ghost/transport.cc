@@ -1,5 +1,4 @@
 // wave-domain: host
-// wave-owns(host) — the shm transport's queues and the host halves of the wave transport live on the host shard; the NIC-side agent reaches them only through WaveRuntime's seam endpoints
 #include "ghost/transport.h"
 
 #include <cstring>
@@ -285,17 +284,17 @@ ShmSchedTransport::AttachCheckers(check::HbRaceDetector* hb,
         messages_.BindCheckers(
             hb, protocol,
             // Both sides of the shm baseline live on the host.
-            hb != nullptr  // wave-domain: host
+            hb != nullptr
                 ? hb->RegisterActor("shm-msg-producers")
                 : 0,
-            hb != nullptr  // wave-domain: host
+            hb != nullptr
                 ? hb->RegisterActor("shm-agent")
                 : 0);
         for (auto& pc : percore_) {
             if (pc == nullptr) continue;  // a core this transport skips
-            const sim::ActorId agent =  // wave-domain: host
+            const sim::ActorId agent =
                 hb != nullptr ? hb->RegisterActor("shm-agent") : 0;
-            const sim::ActorId core_loop =  // wave-domain: host
+            const sim::ActorId core_loop =
                 hb != nullptr ? hb->RegisterActor("shm-core-loop") : 0;
             pc->decisions->BindCheckers(hb, protocol, agent, core_loop);
             pc->outcomes->BindCheckers(hb, protocol, core_loop, agent);

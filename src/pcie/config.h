@@ -9,7 +9,6 @@
  * the §7.3.3 UPI emulation) by swapping configs.
  */
 // wave-domain: pcie
-// wave-shared(immutable link-cost configuration; read-only on both shards after construction)
 #pragma once
 
 #include "sim/time.h"

@@ -1,5 +1,4 @@
 // wave-domain: pcie
-// wave-shared(the DMA engine is the seam device both shards program; transfer state is serialized by the simulator event loop today and becomes a cross-shard rendezvous under a parallel executor)
 // wave-hot
 #include "pcie/dma.h"
 

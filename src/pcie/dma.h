@@ -15,7 +15,6 @@
  * DMA insight, 2-7x better throughput).
  */
 // wave-domain: pcie
-// wave-shared(the DMA engine is the seam device both shards program; transfer state is serialized by the simulator event loop today and becomes a cross-shard rendezvous under a parallel executor)
 // wave-hot
 #pragma once
 

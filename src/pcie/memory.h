@@ -7,7 +7,6 @@
  * over it (MmioMapping, DmaEngine, or zero-cost local access).
  */
 // wave-domain: pcie
-// wave-shared(models the physical memories and BAR windows both shards address; every cross-shard byte flows through here by construction)
 // wave-hot
 #pragma once
 

@@ -1,5 +1,4 @@
 // wave-domain: pcie
-// wave-shared(MMIO mappings are the host shard's window into NIC DRAM and vice versa; cache/WC shadow state is touched from both sides by design)
 // wave-hot
 #include "pcie/mmio.h"
 

@@ -28,7 +28,6 @@
  * exactly as they would on hardware.
  */
 // wave-domain: pcie
-// wave-shared(MMIO mappings are the host shard's window into NIC DRAM and vice versa; cache/WC shadow state is touched from both sides by design)
 // wave-hot
 #pragma once
 

@@ -1,5 +1,4 @@
 // wave-domain: pcie
-// wave-shared(interrupt vectors are raised by the NIC shard and consumed by the host shard; the pending/masked state is the cross-shard handshake itself)
 #include "pcie/msix.h"
 
 #include "check/coherence.h"

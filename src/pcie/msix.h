@@ -14,7 +14,6 @@
  * which the host observes when it next polls.
  */
 // wave-domain: pcie
-// wave-shared(interrupt vectors are raised by the NIC shard and consumed by the host shard; the pending/masked state is the cross-shard handshake itself)
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
 // wave-domain: neutral
 // wave-hot
-// wave-shared(per-thread frame-recycling free lists behind the promise-level operator new/delete; each thread recycles only its own blocks, so concurrent deployments on separate threads share nothing here)
 #include "sim/frame_pool.h"
 
 #include <new>
@@ -30,9 +29,10 @@ struct FreeNode {
 
 // Per-thread, zero-initialized and trivially destructible, so the
 // frame fast paths below pay no TLS-initialisation guard.
+// wave-analyze: allow(W303 per-thread frame-recycling free lists behind the promise-level operator new/delete; each thread recycles only its own blocks, so concurrent deployments on separate threads share nothing here)
 thread_local FreeNode* t_free_lists[kNumClasses];
-thread_local std::uint64_t t_reuses = 0;
-thread_local std::uint64_t t_oversized = 0;
+thread_local std::uint64_t t_reuses = 0;  // wave-analyze: allow(W303 per-thread, as t_free_lists)
+thread_local std::uint64_t t_oversized = 0;  // wave-analyze: allow(W303 per-thread, as t_free_lists)
 
 /**
  * Hands the thread's pooled blocks back to the heap when the thread
@@ -59,7 +59,7 @@ struct PoolRelease {
     void Arm() {}
 };
 
-thread_local PoolRelease t_release;
+thread_local PoolRelease t_release;  // wave-analyze: allow(W303 per-thread, as t_free_lists)
 
 void*
 Stamp(void* raw, std::size_t cls)

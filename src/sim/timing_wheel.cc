@@ -36,7 +36,6 @@ TimingWheel::~TimingWheel() { Clear(); }
 void
 TimingWheel::Push(TimeNs when, std::uint64_t key, InlineFn fn)
 {
-    // wave-analyze: allow(W301 pool growth is amortized: Refill doubles the node pool outside the hot region, and alloc_test proves the steady state allocation-free)
     EventNode* node = AllocNode();
     node->when = when;
     node->key = key;

@@ -11,7 +11,6 @@
  * latency/throughput needs.
  */
 // wave-domain: pcie
-// wave-shared(pure configuration and ABI structs exchanged across the seam; immutable once the runtime is constructed)
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,4 @@
 // wave-domain: pcie
-// wave-shared(the runtime owns both seam endpoints and registers actors on both shards; its queues are exactly the state a parallel executor must synchronize on)
 #include "wave/runtime.h"
 
 #include <algorithm>

@@ -10,7 +10,6 @@
  * (START_WAVE_AGENT / KILL_WAVE_AGENT).
  */
 // wave-domain: pcie
-// wave-shared(the runtime owns both seam endpoints and registers actors on both shards; its queues are exactly the state a parallel executor must synchronize on)
 #pragma once
 
 #include <memory>

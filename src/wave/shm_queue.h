@@ -10,7 +10,6 @@
  * against the same software over Wave's PCIe queues (offloaded).
  */
 // wave-domain: pcie
-// wave-shared(host-memory message ring written by one shard and polled by the other; the Wave one-way host-to-NIC flow crosses here)
 // wave-hot
 #pragma once
 

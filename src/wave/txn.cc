@@ -1,5 +1,4 @@
 // wave-domain: pcie
-// wave-shared(transaction slots are written by the host endpoint and committed by the NIC endpoint; slot lifecycle is the cross-shard protocol the checkers watch)
 #include "wave/txn.h"
 
 #include "check/coherence.h"

@@ -14,7 +14,6 @@
  * runnable); Wave transports the decision and its outcome.
  */
 // wave-domain: pcie
-// wave-shared(transaction slots are written by the host endpoint and committed by the NIC endpoint; slot lifecycle is the cross-shard protocol the checkers watch)
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,4 @@
 // wave-domain: pcie
-// wave-shared(the lease is fed by the NIC-side agent and expired by host-side fallback logic; both shards read the deadline)
 #include "wave/watchdog.h"
 
 #include "check/hooks.h"

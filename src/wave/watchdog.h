@@ -13,7 +13,6 @@
  * for non-policy state (§6): a restarted agent just re-pulls state.
  */
 // wave-domain: pcie
-// wave-shared(the lease is fed by the NIC-side agent and expired by host-side fallback logic; both shards read the deadline)
 #pragma once
 
 #include <functional>

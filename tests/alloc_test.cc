@@ -13,7 +13,6 @@
  * allocation functions with counting wrappers; production targets must
  * not.
  */
-// wave-domain: harness
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -233,7 +232,6 @@ TEST(AllocGuard, DmaQueueSendPollLoopIsAllocationFreeInSteadyState)
  * message, the NIC polls it and echoes it back on the decision queue,
  * and the host prefetches and polls the echo. Returns the echoed word.
  */
-// wave-lifetime(caller-awaits)
 Task<std::uint64_t>
 WaveRoundTrip(Simulator& sim, HostToNicChannel& to_nic,
               NicToHostChannel& to_host, const std::vector<Bytes>& batch,

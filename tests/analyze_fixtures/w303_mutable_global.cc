@@ -1,5 +1,5 @@
-// Fixture: namespace-scope mutable counter with no wave-shared story
-// and no inline justification -> W303.
+// Fixture: namespace-scope mutable counter with no inline
+// justification -> W303.
 // wave-domain: neutral
 
 namespace wave::fixture {

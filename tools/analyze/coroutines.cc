@@ -1,4 +1,3 @@
-// wave-domain: harness
 #include "analyze/coroutines.h"
 
 #include <algorithm>

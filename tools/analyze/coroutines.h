@@ -5,7 +5,6 @@
  * function name: an annotation on a header declaration covers
  * same-name out-of-line definitions tree-wide.
  */
-// wave-domain: harness
 #pragma once
 
 #include <map>

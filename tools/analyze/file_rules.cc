@@ -1,4 +1,3 @@
-// wave-domain: harness
 #include "analyze/file_rules.h"
 
 #include <algorithm>
@@ -113,26 +112,13 @@ FileRules::DomainOfInclude(const std::string& include_path)
 }
 
 void
-FileRules::Analyze(const SourceFile& f, Scope scope)
+FileRules::Analyze(const SourceFile& f)
 {
     const bool in_check = PathHas(f.path, "check/");
-
-    if (scope == Scope::kHarness) {
-        // Harness trees get the concurrency-readiness subset: the
-        // coroutine-lifetime and determinism bug classes corrupt
-        // test processes exactly like model ones. The annotation
-        // sweeps (W201/W204) and domain rules stay model-only.
-        CheckLambdaCoroutines(f);
-        CheckSpawnSites(f);
-        CheckUnstableIteration(f);
-        CheckSuspendUnderGuard(f);
-        return;
-    }
-
     const bool time_bridge = PathEndsWith(f.path, "sim/time.h") ||
                              PathEndsWith(f.path, "machine/cycles.h");
 
-    if (f.domain == Domain::kUnknown && werror_missing_domain_) {
+    if (f.domain == Domain::kUnknown) {
         Add(f.path, 1, "W001",
             "no `// wave-domain: host|nic|pcie|neutral|harness` "
             "annotation");
@@ -140,21 +126,26 @@ FileRules::Analyze(const SourceFile& f, Scope scope)
 
     CheckIncludes(f);
     CheckSymbols(f);
-    CheckActors(f, in_check);
     CheckHooks(f, in_check);
     CheckStaleReasons(f);
     CheckWallClock(f);
     if (!time_bridge) CheckTimeNarrowing(f);
     CheckEndpointCoverage(f);
     CheckHotPaths(f);
-    if (f.domain != Domain::kHarness) {
-        CheckCoroutineContracts(f);
-        CheckShardOwnership(f, in_check);
-    }
+    if (f.domain != Domain::kHarness) CheckCoroutineContracts(f);
     CheckLambdaCoroutines(f);
     CheckSpawnSites(f);
     CheckUnstableIteration(f);
     CheckSuspendUnderGuard(f);
+    // Checker shadow state is observer-side by construction: it never
+    // feeds the model, so it stays out of the census.
+    if (!in_check) CheckMutableGlobals(f);
+    for (int line : DeadLifetimeLines(f)) {
+        Add(f.path, line, "W304",
+            "dead annotation: this wave-lifetime contract is attached "
+            "to no Task-returning function head — the function it "
+            "named moved or no longer exists");
+    }
 }
 
 void
@@ -205,34 +196,6 @@ FileRules::CheckSymbols(const SourceFile& f)
                     "-domain file names " + DomainName(owner) +
                     "-owned symbol `" + ns +
                     "::...` (route through the pcie seam instead)");
-        }
-    }
-}
-
-void
-FileRules::CheckActors(const SourceFile& f, bool in_check)
-{
-    if (in_check) return;  // the checker framework itself
-    static const std::regex kRegisterRe(
-        R"((->|\.)\s*RegisterActor\s*\()");
-    static const std::regex kDomainNoteRe(
-        R"(wave-domain:\s*(host|nic))");
-    static const std::regex kLabelRe(
-        R"(RegisterActor\s*\(\s*"(host|nic)[-_])");
-    for (std::size_t i = 0; i < f.lines.size(); ++i) {
-        if (!std::regex_search(f.lines[i].code, kRegisterRe)) {
-            continue;
-        }
-        const bool labeled = std::regex_search(f.raw[i], kLabelRe);
-        const bool noted =
-            std::regex_search(f.lines[i].comment, kDomainNoteRe) ||
-            (i > 0 && std::regex_search(f.lines[i - 1].comment,
-                                        kDomainNoteRe));
-        if (!labeled && !noted) {
-            Add(f.path, static_cast<int>(i + 1), "W004",
-                "RegisterActor without a domain: start the label "
-                "with \"host-\"/\"nic-\" or add a `// wave-domain: "
-                "host|nic` comment on this or the previous line");
         }
     }
 }
@@ -728,101 +691,12 @@ FileRules::AnalyzeSpawnArgument(const SourceFile& f, int line_no,
 }
 
 /**
- * W204: the shard-ownership map. Files whose mutable state is
- * reachable from more than one clock domain — the pcie seam, and
- * any file registering sim actors — must classify that state with
- * wave-owns(<shard>) or wave-shared(<reason>), and the
- * classification must not contradict the file's domain or the
- * domains of the actors it registers. Concrete host/nic files
- * without actor registrations derive their ownership from the
- * domain annotation and need nothing extra.
- */
-void
-FileRules::CheckShardOwnership(const SourceFile& f, bool in_check)
-{
-    if (in_check) return;  // checker shadow state is harness-read
-    static const std::regex kRegisterRe(
-        R"((->|\.)\s*RegisterActor\s*\()");
-    static const std::regex kLabelDomRe(
-        R"(RegisterActor\s*\(\s*"(host|nic)[-_])");
-    bool registers = false;
-    std::vector<std::pair<int, std::string>> label_domains;
-    for (std::size_t i = 0; i < f.lines.size(); ++i) {
-        if (!std::regex_search(f.lines[i].code, kRegisterRe)) {
-            continue;
-        }
-        registers = true;
-        std::smatch m;
-        // Labels live in string literals: match on the raw line.
-        if (std::regex_search(f.raw[i], m, kLabelDomRe)) {
-            label_domains.emplace_back(static_cast<int>(i + 1),
-                                       m[1].str());
-        }
-    }
-
-    const bool has_owns = f.owns_line != 0;
-    if (has_owns && f.owns != "host" && f.owns != "nic") {
-        Add(f.path, f.owns_line, "W204",
-            "wave-owns(" + f.owns +
-                ") names no shard; the shards are `host` and "
-                "`nic` (seam state that belongs to neither side "
-                "is wave-shared(<reason>))");
-        return;
-    }
-    if (has_owns && f.has_shared) {
-        Add(f.path, f.shared_line, "W204",
-            "file is annotated both wave-owns(" + f.owns +
-                ") and wave-shared(...); pick one classification");
-        return;
-    }
-    if (f.has_shared) {
-        std::string reason = f.shared_reason;
-        reason.erase(0, reason.find_first_not_of(" \t"));
-        if (reason.empty()) {
-            Add(f.path, f.shared_line, "W204",
-                "wave-shared() without a reason; say why "
-                "cross-shard access to this state is safe (what "
-                "serializes it, what staleness it tolerates)");
-        }
-    }
-    if (has_owns) {
-        if ((f.domain == Domain::kHost && f.owns == "nic") ||
-            (f.domain == Domain::kNic && f.owns == "host")) {
-            Add(f.path, f.owns_line, "W204",
-                "wave-owns(" + f.owns + ") contradicts the file's " +
-                    DomainName(f.domain) + " wave-domain");
-        }
-        for (const auto& [line, dom] : label_domains) {
-            if (dom != f.owns) {
-                Add(f.path, line, "W204",
-                    "file claims wave-owns(" + f.owns +
-                        ") but registers a " + dom +
-                        "-domain actor here; actors of another "
-                        "shard reaching this state make it "
-                        "wave-shared(<reason>)");
-            }
-        }
-    }
-    const bool required = f.domain == Domain::kPcie || registers;
-    if (required && !has_owns && !f.has_shared) {
-        Add(f.path, 1, "W204",
-            std::string(f.domain == Domain::kPcie
-                            ? "pcie-seam file"
-                            : "file registering sim actors") +
-                " carries no shard-ownership classification; add "
-                "`// wave-owns(host|nic)` or `// wave-shared("
-                "<reason>)` so the parallel executor knows which "
-                "shard may touch this state");
-    }
-}
-
-/**
  * W205: range-for (or .begin() iteration) over a container
  * declared as a pointer-keyed unordered_map/unordered_set in the
  * same file. Hash order of pointers is address order: it varies
- * run to run and shard to shard, so anything downstream of the
- * iteration (event scheduling, stats, reports) loses fingerprint
- * stability. Keyed lookups stay fine.
+ * run to run, so anything downstream of the iteration (event
+ * scheduling, stats, reports) loses fingerprint stability. Keyed
+ * lookups stay fine.
  */
 void
 FileRules::CheckUnstableIteration(const SourceFile& f)
@@ -946,6 +820,85 @@ FileRules::CheckSuspendUnderGuard(const SourceFile& f)
         while (!live.empty() && depth < live.back().depth) {
             live.pop_back();
         }
+    }
+}
+
+/**
+ * W303: the mutable-global census. The saturation ladder runs whole
+ * deployments on parallel threads, so a namespace-scope mutable
+ * variable or a mutable function-local static is state that concurrent
+ * simulations share. A global is defined in exactly one file, so the
+ * census needs no cross-file view. The scan tracks what each brace
+ * opens (a namespace, a class or enum, or a function body or
+ * initializer); only a line that starts a statement at namespace scope
+ * can define a global, so a defaulted parameter on a declaration's
+ * continuation line, a class's static data member and a body's plain
+ * locals stay silent.
+ */
+void
+FileRules::CheckMutableGlobals(const SourceFile& f)
+{
+    static const std::regex kGlobalRe(
+        R"(^\s*((?:static|inline|extern|thread_local|constexpr)"
+        R"(|constinit|const|mutable)\s+)*)"
+        R"([\w:]+(\s*<[^;{}()]*>)?(\s*[&*]|\s)\s*)"
+        R"(((?:\w+::)*[A-Za-z_]\w*)(\s*\[[^\]]*\])?\s*(=|;|\{))");
+    static const std::regex kLocalStaticRe(
+        R"(^\s*static\s+[\w:]+(\s*<[^;{}()]*>)?(\s*[&*]|\s)\s*)"
+        R"(([A-Za-z_]\w*)\s*(=|;|\{|\())");
+    static const std::regex kConstRe(R"(\b(const|constexpr|constinit)\b)");
+    static const std::regex kNotVarRe(
+        R"(^\s*(using|typedef|friend|template|return|extern|namespace)"
+        R"(|class|struct|union|enum)\b)");
+    static const std::regex kTypeHeadRe(
+        R"(^\s*(template\s*<.*>\s*)?(class|struct|union|enum)\b[^(]*$)");
+    static const std::regex kNamespaceHeadRe(R"(\bnamespace\b)");
+    enum class Brace { kNamespace, kType, kBody };
+    std::vector<Brace> open;
+    std::string head;  // statement text since the last ; { or }
+    for (std::size_t i = 0; i < f.lines.size(); ++i) {
+        const std::string& code = f.lines[i].code;
+        const auto first = f.raw[i].find_first_not_of(" \t");
+        if (first != std::string::npos && f.raw[i][first] == '#') continue;
+        const bool statement_start =
+            head.find_first_not_of(" \t") == std::string::npos;
+        const bool at_namespace =
+            open.empty() || open.back() == Brace::kNamespace;
+        const bool in_body = std::find(open.begin(), open.end(),
+                                       Brace::kBody) != open.end();
+        std::smatch m;
+        std::string what;
+        if (statement_start && at_namespace &&
+            std::regex_search(code, m, kGlobalRe) &&
+            !std::regex_search(code, kNotVarRe)) {
+            what = "namespace-scope mutable variable `" + m[4].str();
+        } else if (in_body && std::regex_search(code, m, kLocalStaticRe)) {
+            what = "mutable function-local static `" + m[3].str();
+        }
+        if (!what.empty() && !std::regex_search(code, kConstRe)) {
+            Add(f.path, static_cast<int>(i + 1), "W303",
+                what + "` lives outside every simulation object, where "
+                       "concurrent ladder threads can reach it; justify "
+                       "it inline with allow(W303 <reason>)");
+        }
+        for (const char c : code) {
+            if (c == '{') {
+                open.push_back(std::regex_search(head, kNamespaceHeadRe)
+                                   ? Brace::kNamespace
+                               : std::regex_search(head, kTypeHeadRe)
+                                   ? Brace::kType
+                                   : Brace::kBody);
+                head.clear();
+            } else if (c == '}') {
+                if (!open.empty()) open.pop_back();
+                head.clear();
+            } else if (c == ';') {
+                head.clear();
+            } else {
+                head += c;
+            }
+        }
+        head += ' ';
     }
 }
 

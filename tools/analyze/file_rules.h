@@ -1,11 +1,10 @@
 /**
  * @file
- * The per-file rule families: W00x clock-domain structure, W10x
- * hot-path performance, W20x concurrency readiness. Each rule sees one
- * SourceFile at a time (plus the tree-wide coroutine-contract
- * registry); the cross-TU W30x rules live in graph_rules.h.
+ * The rule families: W00x clock-domain structure, W10x hot-path
+ * performance, W20x concurrency readiness, the W303 mutable-global
+ * census and the lifetime leg of W304. Each rule sees one SourceFile at
+ * a time (plus the tree-wide coroutine-contract registry).
  */
-// wave-domain: harness
 #pragma once
 
 #include <filesystem>
@@ -21,17 +20,15 @@ namespace wa {
 
 class FileRules {
   public:
-    FileRules(std::filesystem::path root, bool werror_missing_domain)
-        : root_(std::move(root)),
-          werror_missing_domain_(werror_missing_domain)
+    explicit FileRules(std::filesystem::path root) : root_(std::move(root))
     {
     }
 
     std::vector<Finding> findings;
     ContractRegistry registry;
 
-    /** Analyzes one file under the given rule scope. */
-    void Analyze(const SourceFile& f, Scope scope);
+    /** Analyzes one file as model code. */
+    void Analyze(const SourceFile& f);
 
     /** Domain of an include target, loading and caching the file. */
     Domain DomainOfInclude(const std::string& include_path);
@@ -42,7 +39,6 @@ class FileRules {
 
     void CheckIncludes(const SourceFile& f);
     void CheckSymbols(const SourceFile& f);
-    void CheckActors(const SourceFile& f, bool in_check);
     void CheckHooks(const SourceFile& f, bool in_check);
     void CheckStaleReasons(const SourceFile& f);
     void CheckWallClock(const SourceFile& f);
@@ -54,15 +50,14 @@ class FileRules {
     void CheckSpawnSites(const SourceFile& f);
     void AnalyzeSpawnArgument(const SourceFile& f, int line_no,
                               const std::string& arg);
-    void CheckShardOwnership(const SourceFile& f, bool in_check);
     void CheckUnstableIteration(const SourceFile& f);
     void CheckSuspendUnderGuard(const SourceFile& f);
+    void CheckMutableGlobals(const SourceFile& f);
 
     static bool RegionReserves(const SourceFile& f, int region,
                                std::size_t upto);
 
     std::filesystem::path root_;
-    bool werror_missing_domain_;
     std::map<std::string, Domain> include_domains_;
 };
 

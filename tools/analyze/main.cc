@@ -1,45 +1,31 @@
 /**
  * @file
- * wave_analyze driver: repo-specific static checks the C++ type system
- * cannot express, in the spirit of Linux's `sparse` address-space
- * checker. The rule catalog and rationale live in
- * docs/static-analysis.md; the implementation is split across
- * tools/analyze/:
+ * wave_analyze: repo-specific static checks that neither the compiler
+ * nor the build graph can express, in the spirit of Linux's `sparse`
+ * address-space checker. The rule catalog, its rationale and what each
+ * rule has caught live in docs/static-analysis.md; the implementation
+ * is split across tools/analyze/:
  *
  *   source.{h,cc}      comment/string-aware line model + annotations
  *   coroutines.{h,cc}  Task-head parsing and lifetime contracts
- *   rules.h            the catalog (W001..W305) and Finding record
- *   file_rules.{h,cc}  per-file rules: W00x domains, W10x hot paths,
- *                      W20x concurrency readiness
- *   symbols.{h,cc}     pass 1: cross-TU symbol table + call/ref graph
- *   graph_rules.{h,cc} pass 2: W301 transitive-hot, W302 shard-closure
- *                      leak, W303 mutable-global census, W304
- *                      dead-annotation (lifetime leg), W305 seam bypass
- *   report.{h,cc}      suppression + text/JSON-v2/SARIF emitters
+ *   rules.h            the catalog and the Finding record
+ *   file_rules.{h,cc}  the rules, run one file at a time
+ *   report.{h,cc}      allow() suppression + text/SARIF emitters
  *
- * The driver owns what needs both the findings and the suppression
- * results: the dead-allow and stale-baseline legs of W304.
+ * main() owns the dead-allow leg of W304, which needs the
+ * suppression results.
  *
  * Usage:
- *   wave_analyze [--root DIR] [--baseline FILE] [--as-src]
- *                [--format=text|json|sarif] [FILE...]
+ *   wave_analyze [--root DIR] [--format=text|sarif] [FILE...]
  *   wave_analyze --list-rules
  *
- * With no FILE arguments, analyzes every .h/.cc under DIR/src (model
- * scope: full catalog, including the cross-TU W300 series) plus
- * DIR/tests and DIR/bench (harness scope: W202/W203/W205/W206). With
- * explicit FILEs (fixture snippets in tests), --as-src applies the
- * model-code rules regardless of the files' location — the cross-TU
- * pass then sees exactly the listed files as its tree.
- * --format=json emits the machine-readable wave-analyze-v2 report:
- * every finding with its suppression status, the per-file
- * shard-ownership map, the name-resolved call graph, and the
- * ownership closure. --format=sarif emits SARIF 2.1.0 (reported
- * findings only) for code-scanning upload.
- * Exit status: 0 clean, 1 findings or stale baseline entries, 2 usage
- * or I/O error.
+ * With no FILE arguments, analyzes every .h/.cc under DIR/src. FILE
+ * arguments (the fixture snippets in tests) are analyzed as model code
+ * wherever they live; their includes still resolve against DIR/src.
+ * --format=sarif emits SARIF 2.1.0 (reported findings only) for
+ * code-scanning upload.
+ * Exit status: 0 clean, 1 findings, 2 usage or I/O error.
  */
-// wave-domain: harness
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -50,11 +36,9 @@
 
 #include "analyze/coroutines.h"
 #include "analyze/file_rules.h"
-#include "analyze/graph_rules.h"
 #include "analyze/report.h"
 #include "analyze/rules.h"
 #include "analyze/source.h"
-#include "analyze/symbols.h"
 
 namespace fs = std::filesystem;
 
@@ -64,11 +48,8 @@ int
 main(int argc, char** argv)
 {
     fs::path root = ".";
-    fs::path baseline_path;
-    bool as_src = false;
-    enum class Format { kText, kJson, kSarif };
-    Format format = Format::kText;
-    std::vector<std::string> files;
+    bool sarif = false;
+    std::map<std::string, fs::path> jobs;  // report path -> file
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -78,115 +59,54 @@ main(int argc, char** argv)
         }
         if (arg == "--root" && i + 1 < argc) {
             root = argv[++i];
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            baseline_path = argv[++i];
-        } else if (arg == "--as-src") {
-            as_src = true;
-        } else if (arg == "--format=json") {
-            format = Format::kJson;
         } else if (arg == "--format=sarif") {
-            format = Format::kSarif;
+            sarif = true;
         } else if (arg == "--format=text") {
-            format = Format::kText;
+            sarif = false;
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "wave_analyze: unknown option %s\n",
                          arg.c_str());
             return 2;
         } else {
-            files.push_back(arg);
+            jobs.emplace(fs::path(arg).generic_string(), arg);
         }
     }
 
     std::error_code ec;
-    if (!fs::exists(root / "src", ec) && files.empty()) {
-        std::fprintf(stderr, "wave_analyze: no src/ under %s\n",
-                     root.string().c_str());
-        return 2;
-    }
-
-    struct Job {
-        fs::path full;
-        std::string report;
-        Scope scope;
-    };
-    std::vector<Job> jobs;
-    if (files.empty()) {
-        const auto walk = [&](const char* dir, Scope scope) {
-            if (!fs::exists(root / dir, ec)) return;
-            for (auto it = fs::recursive_directory_iterator(root / dir);
-                 it != fs::recursive_directory_iterator(); ++it) {
-                if (!it->is_regular_file()) continue;
-                const std::string ext =
-                    it->path().extension().string();
-                if (ext != ".h" && ext != ".cc") continue;
-                const std::string rel =
-                    fs::relative(it->path(), root).generic_string();
-                // Planted-violation corpora are analyzed explicitly
-                // by analyze_test, never as part of the tree.
-                if (rel.find("analyze_fixtures") != std::string::npos) {
-                    continue;
-                }
-                jobs.push_back({it->path(), rel, scope});
-            }
-        };
-        walk("src", Scope::kModel);
-        walk("tests", Scope::kHarness);
-        walk("bench", Scope::kHarness);
-    } else {
-        for (const std::string& f : files) {
-            const fs::path p(f);
-            const bool model =
-                as_src ||
-                p.generic_string().find("src/") != std::string::npos;
-            jobs.push_back({p, p.generic_string(),
-                            model ? Scope::kModel : Scope::kHarness});
+    if (jobs.empty()) {
+        if (!fs::exists(root / "src", ec)) {
+            std::fprintf(stderr, "wave_analyze: no src/ under %s\n",
+                         root.string().c_str());
+            return 2;
+        }
+        for (auto it = fs::recursive_directory_iterator(root / "src");
+             it != fs::recursive_directory_iterator(); ++it) {
+            if (!it->is_regular_file()) continue;
+            const std::string ext = it->path().extension().string();
+            if (ext != ".h" && ext != ".cc") continue;
+            jobs.emplace(fs::relative(it->path(), root).generic_string(),
+                         it->path());
         }
     }
-    std::sort(jobs.begin(), jobs.end(),
-              [](const Job& a, const Job& b) {
-                  return a.report < b.report;
-              });
 
-    FileRules rules(root, /*werror_missing_domain=*/true);
+    FileRules rules(root);
     std::map<std::string, SourceFile> loaded;
-    std::vector<const Job*> order;
-    for (const Job& job : jobs) {
-        auto f = LoadFile(job.full, job.report);
+    for (const auto& [report, full] : jobs) {
+        auto f = LoadFile(full, report);
         if (!f) {
             std::fprintf(stderr, "wave_analyze: cannot read %s\n",
-                         job.full.string().c_str());
+                         full.string().c_str());
             return 2;
         }
         f->coroutines = ParseCoroutines(*f);
         MergeContracts(*f, rules.registry);
-        loaded.emplace(job.report, std::move(*f));
-        order.push_back(&job);
+        loaded.emplace(report, std::move(*f));
     }
     // Second pass: contracts from every file (headers annotating the
     // public API, definitions elsewhere) are visible to every check.
-    for (const Job* job : order) {
-        rules.Analyze(loaded.at(job->report), job->scope);
-    }
-
-    // Cross-TU passes over the model files: symbol table first (every
-    // file's symbols must exist before any site resolves), then
-    // resolution, then the graph rules.
-    std::map<std::string, const SourceFile*> model_files;
-    for (const Job* job : order) {
-        if (job->scope != Scope::kModel) continue;
-        model_files.emplace(job->report, &loaded.at(job->report));
-    }
-    SymbolGraph graph;
-    for (const auto& [path, f] : model_files) graph.AddFile(*f);
-    for (const auto& [path, f] : model_files) graph.ResolveFile(*f);
+    for (const auto& [report, f] : loaded) rules.Analyze(f);
 
     std::vector<Finding> findings = std::move(rules.findings);
-    {
-        GraphRules graph_rules(graph, model_files);
-        for (Finding& fd : graph_rules.Run()) {
-            findings.push_back(std::move(fd));
-        }
-    }
     std::stable_sort(findings.begin(), findings.end(),
                      [](const Finding& a, const Finding& b) {
                          if (a.path != b.path) return a.path < b.path;
@@ -194,100 +114,46 @@ main(int argc, char** argv)
                          return a.rule < b.rule;
                      });
 
-    const std::vector<BaselineEntry> baseline =
-        baseline_path.empty() ? std::vector<BaselineEntry>{}
-                              : LoadBaseline(baseline_path);
-    std::vector<bool> baseline_used(baseline.size(), false);
-
     // Suppression pass. Which allow() sites actually suppressed
     // something feeds the W304 dead-allow leg below.
-    std::vector<Status> status;
-    status.reserve(findings.size());
+    std::vector<Finding> reported;
+    int suppressed = 0;
     std::set<std::pair<std::string, int>> used_allows;
-    for (const Finding& finding : findings) {
-        const SourceFile& f = loaded.at(finding.path);
-        Status s = Status::kReported;
-        for (std::size_t b = 0; b < baseline.size(); ++b) {
-            if (BaselineMatches(baseline[b].text, finding)) {
-                baseline_used[b] = true;
-                s = Status::kBaseline;
-            }
-        }
+    for (Finding& finding : findings) {
         int allow_line = 0;
-        if (InlineSuppressed(f, finding, &allow_line)) {
-            s = Status::kInline;
+        if (InlineSuppressed(loaded.at(finding.path), finding,
+                             &allow_line)) {
+            ++suppressed;
             used_allows.insert({finding.path, allow_line});
+        } else {
+            reported.push_back(std::move(finding));
         }
-        status.push_back(s);
     }
 
     // W304, dead-allow leg: an inline allow() that suppressed nothing
-    // this run names a violation that no longer exists. Baseline
-    // matching applies (a transition tree may park these); inline
-    // self-suppression deliberately does not.
-    for (const Job* job : order) {
-        const SourceFile& f = loaded.at(job->report);
+    // this run names a violation that no longer exists. An allow()
+    // cannot suppress this finding about itself.
+    for (const auto& [path, f] : loaded) {
         for (const AllowSite& site : f.allows) {
-            if (used_allows.count({f.path, site.line})) continue;
+            if (used_allows.count({path, site.line})) continue;
             std::string ids;
             for (const std::string& r : site.rules) {
                 if (!ids.empty()) ids += " ";
                 ids += r;
             }
-            Finding fd{f.path, site.line, "W304",
-                       "dead annotation: allow(" + ids +
-                           ") suppressed nothing in this run — the "
-                           "violation it justified no longer exists; "
-                           "delete it (dead suppressions rot)"};
-            Status s = Status::kReported;
-            for (std::size_t b = 0; b < baseline.size(); ++b) {
-                if (BaselineMatches(baseline[b].text, fd)) {
-                    baseline_used[b] = true;
-                    s = Status::kBaseline;
-                }
-            }
-            findings.push_back(std::move(fd));
-            status.push_back(s);
+            reported.push_back(
+                {path, site.line, "W304",
+                 "dead annotation: allow(" + ids +
+                     ") suppressed nothing in this run — the "
+                     "violation it justified no longer exists; "
+                     "delete it (dead suppressions rot)"});
         }
     }
 
-    // W304, stale-baseline leg: an entry that matched no finding.
-    std::vector<std::string> stale;
-    for (std::size_t b = 0; b < baseline.size(); ++b) {
-        if (baseline_used[b]) continue;
-        stale.push_back(baseline[b].text);
-        findings.push_back(
-            {baseline_path.generic_string(), baseline[b].line, "W304",
-             "stale baseline entry `" + baseline[b].text +
-                 "` matches no finding; delete it (dead suppressions "
-                 "rot)"});
-        status.push_back(Status::kReported);
+    if (sarif) {
+        EmitSarif(reported);
+    } else {
+        EmitText(reported, loaded.size(), suppressed);
     }
-
-    int reported = 0;
-    int suppressed = 0;
-    for (const Status s : status) {
-        if (s == Status::kReported) {
-            ++reported;
-        } else {
-            ++suppressed;
-        }
-    }
-
-    ReportInput out;
-    out.findings = &findings;
-    out.status = &status;
-    out.reported = reported;
-    out.suppressed = suppressed;
-    out.stale = &stale;
-    out.file_count = jobs.size();
-    out.model_files = &model_files;
-    out.graph = &graph;
-    out.baseline_path = baseline_path;
-    switch (format) {
-        case Format::kText: EmitText(out); break;
-        case Format::kJson: EmitJson(out); break;
-        case Format::kSarif: EmitSarif(out); break;
-    }
-    return reported == 0 ? 0 : 1;
+    return reported.empty() ? 0 : 1;
 }

@@ -1,39 +1,17 @@
 /**
  * @file
- * Suppression machinery (inline allow() comments and the baseline
- * file) and the three report emitters: human text, the
- * wave-analyze-v2 JSON artifact (findings + call graph + ownership
- * closure), and SARIF 2.1.0 for code-scanning upload.
+ * Suppression by inline allow() comments and the two report emitters:
+ * human text, and SARIF 2.1.0 for code-scanning upload.
  */
-// wave-domain: harness
 #pragma once
 
 #include <cstddef>
-#include <filesystem>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "analyze/rules.h"
 #include "analyze/source.h"
-#include "analyze/symbols.h"
 
 namespace wa {
-
-/** Suppression status of one finding, for reporting. */
-enum class Status { kReported, kInline, kBaseline };
-
-/** One baseline line, with its position for stale-entry findings. */
-struct BaselineEntry {
-    std::string text;  ///< `path:RULE` (trailing-/ paths match by prefix)
-    int line = 0;      ///< 1-based line in the baseline file
-};
-
-std::vector<BaselineEntry> LoadBaseline(
-    const std::filesystem::path& path);
-
-/** Does baseline entry @p entry suppress @p finding? */
-bool BaselineMatches(const std::string& entry, const Finding& finding);
 
 /**
  * Inline `wave-analyze: allow(...)` on the line or the previous one.
@@ -43,27 +21,13 @@ bool BaselineMatches(const std::string& entry, const Finding& finding);
 bool InlineSuppressed(const SourceFile& f, const Finding& finding,
                       int* allow_line);
 
-std::string JsonEscape(const std::string& s);
-
 void ListRules();
 
-/** Everything the emitters need, assembled by main(). */
-struct ReportInput {
-    const std::vector<Finding>* findings = nullptr;
-    const std::vector<Status>* status = nullptr;  ///< parallel array
-    int reported = 0;
-    int suppressed = 0;
-    const std::vector<std::string>* stale = nullptr;
-    std::size_t file_count = 0;
-    /** Model files in report-path order, for the v2 artifact. */
-    const std::map<std::string, const SourceFile*>* model_files =
-        nullptr;
-    const SymbolGraph* graph = nullptr;
-    std::filesystem::path baseline_path;
-};
+/** Prints the reported findings and a one-line summary. */
+void EmitText(const std::vector<Finding>& reported,
+              std::size_t file_count, int suppressed);
 
-void EmitText(const ReportInput& in);
-void EmitJson(const ReportInput& in);
-void EmitSarif(const ReportInput& in);
+/** Prints the reported findings as SARIF 2.1.0, catalog included. */
+void EmitSarif(const std::vector<Finding>& reported);
 
 }  // namespace wa

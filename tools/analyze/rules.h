@@ -1,12 +1,10 @@
 /**
  * @file
  * The wave_analyze rule catalog and the Finding record every rule
- * module produces. See docs/static-analysis.md for the full catalog
- * with rationale; tools/analyze/file_rules.h holds the per-file W00x/
- * W10x/W20x rules and tools/analyze/graph_rules.h the cross-TU W30x
- * rules.
+ * produces. See docs/static-analysis.md for the full catalog with
+ * rationale and what each rule has caught; tools/analyze/file_rules.h
+ * holds the rules themselves.
  */
-// wave-domain: harness
 #pragma once
 
 #include <string>
@@ -19,9 +17,6 @@ struct Finding {
     std::string rule;
     std::string message;
 };
-
-/** Which rule set a file gets. */
-enum class Scope { kModel, kHarness };
 
 struct Rule {
     const char* id;
@@ -36,8 +31,6 @@ inline constexpr Rule kRules[] = {
      "includes respect the host/nic/pcie/neutral matrix"},
     {"W003", "cross-domain-symbol",
      "no naming symbols owned by the opposite domain"},
-    {"W004", "actor-domain",
-     "RegisterActor call sites declare the actor's domain"},
     {"W005", "hook-coverage",
      "checker calls gated by WAVE_CHECK_HOOK; endpoints instrumented"},
     {"W006", "stale-reason",
@@ -68,30 +61,18 @@ inline constexpr Rule kRules[] = {
     {"W203", "spawn-dangling",
      "Spawn() only detaches spawn-safe tasks; never caller-awaits "
      "coroutines or lambdas bound to the spawner's stack"},
-    {"W204", "shard-ownership",
-     "pcie-seam and actor-registering files classify their mutable "
-     "state with wave-owns(<shard>) or wave-shared(<reason>)"},
     {"W205", "unstable-iteration",
      "no iteration over pointer-keyed unordered containers in model "
      "code (address-dependent order breaks determinism fingerprints)"},
     {"W206", "suspend-under-guard",
      "no co_await while a scoped guard or borrowed view local is live"},
-    {"W301", "transitive-hot",
-     "no wave-hot call site reaches, through any call chain, a cold "
-     "function that allocates, throws, locks, or does I/O"},
-    {"W302", "shard-closure-leak",
-     "no wave-owns(A) file references mutable state defined in a "
-     "wave-owns(B) file except through the pcie seam or wave-shared"},
     {"W303", "mutable-global-census",
-     "every namespace-scope mutable variable (and dynamically-"
-     "initialized mutable local static) in model code carries a "
-     "wave-shared justification — cross-shard nondeterminism hazard"},
+     "every namespace-scope mutable variable and mutable function-"
+     "local static in model code carries an inline allow(W303 ...) "
+     "justification (ladder threads run deployments concurrently)"},
     {"W304", "dead-annotation",
-     "no wave-lifetime contract, inline allow(), or baseline entry "
-     "that names nothing in the tree anymore"},
-    {"W305", "seam-bypass",
-     "no host<->nic call edges at symbol granularity; cross-domain "
-     "calls route through the pcie seam"},
+     "no wave-lifetime contract or inline allow() that names nothing "
+     "in the tree anymore"},
 };
 
 }  // namespace wa

@@ -1,10 +1,8 @@
-// wave-domain: harness
 #include "analyze/source.h"
 
 #include <algorithm>
 #include <fstream>
 #include <regex>
-#include <sstream>
 
 namespace wa {
 
@@ -109,9 +107,6 @@ struct AnnotationScanner {
         // standalone annotation line does.
         static const std::regex kHotRe(
             R"(^\s*wave-hot(:\s*(begin|end))?\s*$)");
-        static const std::regex kOwnsRe(
-            R"(wave-owns\(\s*([A-Za-z-]*)\s*\))");
-        static const std::regex kSharedRe(R"(wave-shared\(([^)]*)\))");
         static const std::regex kAllowRe(
             R"(wave-analyze:\s*allow\(\s*((?:W[0-9]{3}[\s,]+)*W[0-9]{3}))");
         static const std::regex kIdRe(R"(W[0-9]{3})");
@@ -126,17 +121,6 @@ struct AnnotationScanner {
                     f.domain_line = line_no;
                 }
             }
-        }
-        std::smatch om;
-        if (f.owns.empty() && f.owns_line == 0 &&
-            std::regex_search(comment, om, kOwnsRe)) {
-            f.owns = om[1].str();
-            f.owns_line = line_no;
-        }
-        if (!f.has_shared && std::regex_search(comment, om, kSharedRe)) {
-            f.has_shared = true;
-            f.shared_reason = om[1].str();
-            f.shared_line = line_no;
         }
         std::smatch am;
         if (std::regex_search(comment, am, kAllowRe)) {
@@ -172,14 +156,16 @@ struct AnnotationScanner {
 
 }  // namespace
 
-SourceFile
-ParseSource(const std::string& report_path, const std::string& content)
+std::optional<SourceFile>
+LoadFile(const std::filesystem::path& fullpath,
+         const std::string& report_path)
 {
+    std::ifstream in(fullpath);
+    if (!in) return std::nullopt;
     SourceFile f;
     f.path = report_path;
     LineSplitter splitter;
     AnnotationScanner scanner;
-    std::istringstream in(content);
     std::string line;
     while (std::getline(in, line)) {
         f.raw.push_back(line);
@@ -193,17 +179,6 @@ ParseSource(const std::string& report_path, const std::string& content)
         }
     }
     return f;
-}
-
-std::optional<SourceFile>
-LoadFile(const std::filesystem::path& fullpath,
-         const std::string& report_path)
-{
-    std::ifstream in(fullpath);
-    if (!in) return std::nullopt;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return ParseSource(report_path, buf.str());
 }
 
 int

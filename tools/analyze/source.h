@@ -1,16 +1,15 @@
 /**
  * @file
  * Source model for wave_analyze: comment/string-aware line splitting,
- * the per-file annotation state (wave-domain, wave-hot regions,
- * wave-owns/wave-shared, inline allow() comments), and the small
- * text-parsing helpers every rule module shares.
+ * the per-file annotation state (wave-domain, wave-hot regions, inline
+ * allow() comments), and the small text-parsing helpers every rule
+ * shares.
  *
  * The analyzer is deliberately libclang-free (a token/declaration-
  * level checker in the sparse tradition); everything in this header
  * operates on a per-line split of the file into a *code* channel
  * (strings blanked, comments removed) and a *comment* channel.
  */
-// wave-domain: harness
 #pragma once
 
 #include <filesystem>
@@ -85,12 +84,6 @@ struct SourceFile {
      * file-scope `// wave-hot` puts every line in one region.
      */
     std::vector<int> hot;
-    /** File-scope shard-ownership annotation (W204). */
-    std::string owns;           ///< wave-owns(<shard>) argument, or ""
-    int owns_line = 0;
-    std::string shared_reason;  ///< wave-shared(<reason>) argument
-    bool has_shared = false;
-    int shared_line = 0;
     /** Task-returning functions parsed from this file (W201/W203). */
     std::vector<Coroutine> coroutines;
     /** Every inline allow() comment, for the W304 dead-allow check. */
@@ -105,10 +98,6 @@ struct SourceFile {
                hot[static_cast<std::size_t>(line_1based - 1)] > 0;
     }
 };
-
-/** Parses file content already in memory (unit tests, fixtures). */
-SourceFile ParseSource(const std::string& report_path,
-                       const std::string& content);
 
 /** Loads and parses a file from disk; nullopt on I/O error. */
 std::optional<SourceFile> LoadFile(const std::filesystem::path& fullpath,

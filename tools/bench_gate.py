@@ -2,7 +2,7 @@
 """Perf gate: compare a wave-bench-v1 report against a baseline.
 
 Usage:
-    bench_gate.py <fresh.json> <baseline.json> [--max-regression 0.25]
+    bench_gate.py <fresh.json> <baseline.json>
 
 Two classes of metric, told apart by name:
 
@@ -11,8 +11,8 @@ Two classes of metric, told apart by name:
   correctness-like properties (the W101 "allocation-free steady state"
   claim) that a fast runner cannot hide.
 * Throughput metrics (``*_per_sec``): higher is better; fail when the
-  fresh value drops more than --max-regression below baseline. The
-  default 25% is deliberately generous — CI runners vary — while still
+  fresh value drops more than MAX_REGRESSION (25%) below baseline. The
+  margin is deliberately generous — CI runners vary — while still
   catching an accidental O(n) in the event loop.
 
 Everything else (latency samples, ratios, wall_ns_per_sim_sec) is
@@ -31,6 +31,9 @@ import sys
 # allocs_per_event must stay ~zero; tolerate counter noise from the
 # harness itself (one stray allocation in a million events).
 ALLOC_BUDGET = 0.001
+
+# Largest tolerated drop of a *_per_sec metric below its baseline.
+MAX_REGRESSION = 0.25
 
 
 def load(path):
@@ -65,13 +68,8 @@ def load(path):
 
 
 def main(argv):
-    args = [a for a in argv[1:] if not a.startswith("--")]
-    max_regression = 0.25
-    it = iter(argv[1:])
-    for a in it:
-        if a == "--max-regression":
-            max_regression = float(next(it, "0.25"))
-    if len(args) != 2:
+    args = argv[1:]
+    if len(args) != 2 or any(a.startswith("-") for a in args):
         print(__doc__, file=sys.stderr)
         return 2
 
@@ -100,13 +98,13 @@ def main(argv):
                     f"the hot path (see docs/static-analysis.md W101)")
         elif name.endswith("_per_sec"):
             drop = 1.0 - now / base if base > 0 else 0.0
-            verdict = "FAIL" if drop > max_regression else "ok"
+            verdict = "FAIL" if drop > MAX_REGRESSION else "ok"
             print(f"  {verdict:4} {name}: {now:.4g} vs baseline "
                   f"{base:.4g} ({-drop:+.1%})")
-            if drop > max_regression:
+            if drop > MAX_REGRESSION:
                 failures.append(
                     f"{name}: {now:.4g} is {drop:.1%} below baseline "
-                    f"{base:.4g} (limit {max_regression:.0%})")
+                    f"{base:.4g} (limit {MAX_REGRESSION:.0%})")
         else:
             print(f"  info {name}: {now:.4g} vs baseline {base:.4g}")
 
