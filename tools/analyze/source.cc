@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <regex>
+#include <sstream>
 
 namespace wa {
 
@@ -156,16 +157,14 @@ struct AnnotationScanner {
 
 }  // namespace
 
-std::optional<SourceFile>
-LoadFile(const std::filesystem::path& fullpath,
-         const std::string& report_path)
+SourceFile
+ParseSource(const std::string& report_path, const std::string& content)
 {
-    std::ifstream in(fullpath);
-    if (!in) return std::nullopt;
     SourceFile f;
     f.path = report_path;
     LineSplitter splitter;
     AnnotationScanner scanner;
+    std::istringstream in(content);
     std::string line;
     while (std::getline(in, line)) {
         f.raw.push_back(line);
@@ -179,6 +178,17 @@ LoadFile(const std::filesystem::path& fullpath,
         }
     }
     return f;
+}
+
+std::optional<SourceFile>
+LoadFile(const std::filesystem::path& fullpath,
+         const std::string& report_path)
+{
+    std::ifstream in(fullpath);
+    if (!in) return std::nullopt;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return ParseSource(report_path, buf.str());
 }
 
 int

@@ -99,6 +99,10 @@ struct SourceFile {
     }
 };
 
+/** Parses file content already in memory (the analyzer unit tests). */
+SourceFile ParseSource(const std::string& report_path,
+                       const std::string& content);
+
 /** Loads and parses a file from disk; nullopt on I/O error. */
 std::optional<SourceFile> LoadFile(const std::filesystem::path& fullpath,
                                    const std::string& report_path);
