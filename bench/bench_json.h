@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -83,7 +84,11 @@ class BenchJson {
     std::vector<JsonMetric> metrics_;
 };
 
-/** Parses `--json <path>` and `--quick` from argv (shared bench CLI). */
+/**
+ * Parses `--json <path>` and `--quick` from argv (shared bench CLI).
+ * Any other argument, or `--json` without a path, prints the usage and
+ * exits with status 2, so a typo cannot silently select the full run.
+ */
 struct JsonCliArgs {
     std::string json_path;  ///< empty => human-readable mode
     bool quick = false;     ///< reduced iteration counts for CI smoke
@@ -98,6 +103,12 @@ struct JsonCliArgs {
                 args.json_path = argv[++i];
             } else if (arg == "--quick") {
                 args.quick = true;
+            } else {
+                std::fprintf(stderr,
+                             "%s: bad argument '%s'\n"
+                             "usage: %s [--json <path>] [--quick]\n",
+                             argv[0], arg.c_str(), argv[0]);
+                std::exit(2);
             }
         }
         return args;

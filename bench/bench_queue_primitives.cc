@@ -3,16 +3,15 @@
  * Ablation bench: the §5.3 communication design choices, measured on
  * the queue primitives directly.
  *
- * Part 1 (simulated time): per-message cost of the host->NIC send path
- * under each PTE strategy, WT read caching + prefetch on the receive
- * path, sync vs async DMA (iPipe's 2-7x insight), and DMA batching.
+ * The default mode prints, in simulated time, the per-message cost of
+ * the host->NIC send path under each PTE strategy, WT read caching +
+ * prefetch on the receive path, sync vs async DMA (iPipe's 2-7x
+ * insight), and DMA batching.
  *
- * Part 2 (wall clock, google-benchmark): the ring-buffer layout and
- * simulation engine themselves, so regressions in the implementation
- * show up independently of the modelled latencies.
+ * `--json <path>` instead times the implementation itself in wall-clock
+ * time (the event loop and an MMIO round trip), so regressions show up
+ * independently of the modelled latencies (BENCH_simcore.json).
  */
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -20,9 +19,9 @@
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
 #include "channel/dma_queue.h"
-#include "stats/histogram.h"
 #include "channel/mmio_queue.h"
 #include "sim/alloc_guard.h"
+#include "sim/logging.h"
 #include "sim/simulator.h"
 #include "stats/table.h"
 
@@ -92,9 +91,8 @@ MmioReceiveCost(bool write_through, bool prefetch)
             co_await s.Delay(1'000);  // overlapped kernel work
         }
         const TimeNs t0 = s.Now();
-        auto got = co_await c.Poll(/*flush_first=*/!pf);
+        co_await c.Poll(/*flush_first=*/!pf);
         out = s.Now() - t0;
-        benchmark::DoNotOptimize(got);
     }(sim, producer, consumer, prefetch, cost));
     sim.Run();
     return cost;
@@ -178,67 +176,6 @@ PrintDesignChoiceTables()
     std::printf("\n");
 }
 
-// --- wall-clock microbenchmarks of the implementation itself ---
-
-void
-BM_SimulatorEventLoop(benchmark::State& state)
-{
-    for (auto _ : state) {
-        Simulator sim;
-        for (int i = 0; i < 1000; ++i) {
-            sim.Schedule(static_cast<sim::DurationNs>(i),
-                         [] { benchmark::ClobberMemory(); });
-        }
-        sim.Run();
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SimulatorEventLoop);
-
-void
-BM_MmioQueueRoundTrip(benchmark::State& state)
-{
-    for (auto _ : state) {
-        Simulator sim;
-        pcie::NicDram dram(sim, pcie::PcieConfig{}, 1 << 20);
-        channel::MmioQueue queue(dram, 0,
-                                 QueueConfig{.capacity = 64,
-                                             .payload_size = 48});
-        channel::HostProducer producer(queue,
-                                       pcie::PteType::kWriteCombining,
-                                       pcie::PteType::kWriteThrough);
-        channel::NicConsumer consumer(queue, pcie::PteType::kWriteBack);
-        sim.Spawn([](Simulator& s, channel::HostProducer& p,
-                     channel::NicConsumer& c) -> Task<> {
-            for (int round = 0; round < 32; ++round) {
-                std::vector<Bytes> batch;
-                batch.push_back(Msg(static_cast<std::uint64_t>(round)));
-                co_await p.Send(batch);
-                co_await s.Delay(1'000);
-                auto got = co_await c.Poll();
-                benchmark::DoNotOptimize(got);
-            }
-        }(sim, producer, consumer));
-        sim.Run();
-    }
-    state.SetItemsProcessed(state.iterations() * 32);
-}
-BENCHMARK(BM_MmioQueueRoundTrip);
-
-void
-BM_HistogramRecord(benchmark::State& state)
-{
-    stats::Histogram histogram;
-    std::uint64_t v = 1;
-    for (auto _ : state) {
-        histogram.Record(v);
-        v = v * 2862933555777941757ull + 3037000493ull;
-        v >>= (v & 15);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HistogramRecord);
-
 // --- BENCH_simcore.json: the machine-readable perf trajectory ---
 
 /**
@@ -291,7 +228,8 @@ MeasureEventLoop(bench::BenchJson& json, bool quick)
         best_rate = std::max(best_rate,
                              static_cast<double>(events) / secs);
     }
-    benchmark::DoNotOptimize(sink);
+    // Reading every callback's effect keeps the timed work observable.
+    WAVE_ASSERT(sink == sim.EventsExecuted(), "a callback did not run");
 
     json.Add("events_per_sec", best_rate, "1/s");
     json.Add("allocs_per_event",
@@ -324,22 +262,24 @@ MeasureSimTimeRatio(bench::BenchJson& json, bool quick)
                                        pcie::PteType::kWriteCombining,
                                        pcie::PteType::kWriteThrough);
         channel::NicConsumer consumer(queue, pcie::PteType::kWriteBack);
+        int received = 0;
         sim.Spawn([](Simulator& s, channel::HostProducer& p,
-                     channel::NicConsumer& c, int n) -> Task<> {
+                     channel::NicConsumer& c, int n,
+                     int& got) -> Task<> {
             std::vector<Bytes> batch;
             batch.push_back(Msg(7));
             Bytes payload;
             for (int round = 0; round < n; ++round) {
                 co_await p.Send(batch);
                 co_await s.Delay(1'000);
-                const bool got = co_await c.PollInto(payload);
-                benchmark::DoNotOptimize(got);
+                if (co_await c.PollInto(payload)) ++got;
             }
-        }(sim, producer, consumer, rounds));
+        }(sim, producer, consumer, rounds, received));
 
         const auto t0 = std::chrono::steady_clock::now();
         sim.Run();
         const auto t1 = std::chrono::steady_clock::now();
+        WAVE_ASSERT(received == rounds, "a round trip lost its message");
         const double wall_ns =
             std::chrono::duration<double, std::nano>(t1 - t0).count();
         const double sim_secs = sim.Now().ns() / 1e9;
@@ -374,7 +314,5 @@ main(int argc, char** argv)
         return RunJsonMode(json_args);
     }
     PrintDesignChoiceTables();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

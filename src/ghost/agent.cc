@@ -5,6 +5,16 @@
 
 namespace wave::ghost {
 
+namespace {
+
+/** Messages drained per iteration. */
+constexpr std::size_t kMsgBatch = 32;
+
+/** Per-iteration bookkeeping compute at reference speed. */
+constexpr sim::DurationNs kLoopOverheadNs = 50;
+
+}  // namespace
+
 GhostAgent::GhostAgent(SchedTransport& transport,
                        std::shared_ptr<SchedPolicy> policy,
                        AgentConfig config)
@@ -48,7 +58,7 @@ GhostAgent::Run(AgentContext& ctx)
         if (config_.aux_stage) {
             co_await config_.aux_stage(ctx);
         }
-        co_await ctx.Cpu().Work(config_.loop_overhead_ns);
+        co_await ctx.Cpu().Work(kLoopOverheadNs);
         // Histogram recording adds no simulator events, so enabling or
         // windowing it never shifts a determinism fingerprint.
         const sim::TimeNs iter_end = ctx.Sim().Now();
@@ -65,7 +75,7 @@ GhostAgent::Run(AgentContext& ctx)
 sim::Task<>
 GhostAgent::HandleMessages(AgentContext& ctx)
 {
-    auto messages = co_await transport_.AgentPollMessages(config_.msg_batch);
+    auto messages = co_await transport_.AgentPollMessages(kMsgBatch);
     for (const GhostMessage& message : messages) {
         ++stats_.messages;
         co_await ctx.Cpu().Work(policy_->PerMessageComputeNs());

@@ -37,9 +37,6 @@ struct AgentConfig {
     /** Host cores this agent schedules. */
     std::vector<int> cores;
 
-    /** Messages drained per iteration. */
-    std::size_t msg_batch = 32;
-
     /** Enable prestaging (§5.4). */
     bool prestage = true;
 
@@ -58,9 +55,6 @@ struct AgentConfig {
      * the number of cores)".
      */
     std::size_t prestage_min_depth = 8;
-
-    /** Per-iteration bookkeeping compute at reference speed. */
-    sim::DurationNs loop_overhead_ns = 50;
 
     /**
      * Optional co-located stage run once per agent iteration on the

@@ -5,13 +5,19 @@
 
 namespace wave::ghost {
 
+namespace {
+
+/** Watchdog poll period, which is also the feed task's sampling period. */
+constexpr sim::DurationNs kWatchdogIntervalNs = 1'000'000;
+
+}  // namespace
+
 Enclave::Enclave(WaveRuntime& runtime, EnclaveConfig config)
     : runtime_(runtime), config_(std::move(config))
 {
     WAVE_ASSERT(!config_.cores.empty(), "enclave with no cores");
     WAVE_ASSERT(config_.policy_factory != nullptr,
                 "enclave needs a policy factory");
-    config_.agent.cores = config_.cores;
     if (config_.offloaded) {
         // The Wave binding wires its queues/txn endpoints into the
         // runtime's checkers itself.
@@ -24,17 +30,19 @@ Enclave::Enclave(WaveRuntime& runtime, EnclaveConfig config)
             shm->AttachCheckers(runtime_.Hb(), runtime_.Protocol()));
         transport_ = std::move(shm);
     }
-    kernel_ = std::make_unique<KernelSched>(
-        runtime_.Sim(), runtime_.GetMachine(), *transport_, config_.costs,
-        config_.kernel_options);
+    kernel_ = std::make_unique<KernelSched>(runtime_.Sim(),
+                                            runtime_.GetMachine(),
+                                            *transport_);
     WAVE_CHECK_HOOK(kernel_->AttachProtocol(runtime_.Protocol()));
 }
 
 void
 Enclave::StartAgentGeneration()
 {
+    AgentConfig agent;
+    agent.cores = config_.cores;
     agent_ = std::make_shared<GhostAgent>(
-        *transport_, config_.policy_factory(), config_.agent);
+        *transport_, config_.policy_factory(), std::move(agent));
     if (config_.offloaded) {
         agent_id_ = runtime_.StartWaveAgent(agent_, config_.nic_core);
     } else {
@@ -55,7 +63,7 @@ Enclave::Start()
     if (config_.watchdog_timeout_ns > 0) {
         watchdog_ = std::make_unique<Watchdog>(
             runtime_.Sim(), config_.watchdog_timeout_ns,
-            config_.watchdog_interval_ns, [this] { RestartAgent(); });
+            kWatchdogIntervalNs, [this] { RestartAgent(); });
         WAVE_CHECK_HOOK(watchdog_->AttachProtocol(runtime_.Protocol()));
         runtime_.Sim().Spawn(FeedWatchdogLoop());
         watchdog_->Arm();
@@ -92,7 +100,7 @@ sim::Task<>
 Enclave::FeedWatchdogLoop()
 {
     for (;;) {
-        co_await runtime_.Sim().Delay(config_.watchdog_interval_ns);
+        co_await runtime_.Sim().Delay(kWatchdogIntervalNs);
         if (agent_ == nullptr || watchdog_ == nullptr) continue;
         // Liveness = the agent keeps making passes through its loop; a
         // wedged agent (stuck in a blocking await, killed, crashed)

@@ -45,16 +45,8 @@ struct EnclaveConfig {
     /** Makes a fresh policy instance (used at start and on restart). */
     std::function<std::shared_ptr<SchedPolicy>()> policy_factory;
 
-    /** Agent loop settings (cores is filled in by the enclave). */
-    AgentConfig agent;
-
-    /** Kernel-side knobs for this partition. */
-    GhostCosts costs;
-    KernelOptions kernel_options;
-
     /** Watchdog threshold; 0 disables the watchdog. */
     sim::DurationNs watchdog_timeout_ns = 20'000'000;
-    sim::DurationNs watchdog_interval_ns = 1'000'000;
 };
 
 /** A self-contained scheduling partition: kernel + queues + agent. */

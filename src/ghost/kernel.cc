@@ -11,9 +11,12 @@
 
 namespace wave::ghost {
 
-#ifdef WAVE_CHECK_ENABLED
 namespace {
 
+/** Gap between idle polls in poll_idle mode. */
+constexpr sim::DurationNs kPollGapNs = 250;
+
+#ifdef WAVE_CHECK_ENABLED
 check::TaskShadow
 ShadowOf(ThreadState state)
 {
@@ -25,9 +28,9 @@ ShadowOf(ThreadState state)
     }
     return check::TaskShadow::kUnknown;
 }
+#endif
 
 }  // namespace
-#endif
 
 KernelSched::KernelSched(sim::Simulator& sim, machine::Machine& machine,
                          SchedTransport& transport, GhostCosts costs,
@@ -299,7 +302,7 @@ KernelSched::CoreLoop(int core)
                 if (options_.poll_idle) {
                     // Interrupts "disabled": spin on the queue instead.
                     ++stats_.idle_polls;
-                    co_await cpu.Work(options_.poll_gap_ns);
+                    co_await cpu.Work(kPollGapNs);
                     continue;
                 }
                 ++stats_.idle_waits;

@@ -61,9 +61,6 @@ struct KernelOptions {
      * interrupt path entirely.
      */
     bool poll_idle = false;
-
-    /** Gap between idle polls in poll_idle mode. */
-    sim::DurationNs poll_gap_ns = 250;
 };
 
 /** Aggregate kernel-side statistics. */

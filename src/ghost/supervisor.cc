@@ -9,8 +9,10 @@ namespace wave::ghost {
 
 AgentSupervisor::AgentSupervisor(sim::Simulator& sim, WaveRuntime& runtime,
                                  KernelSched& kernel,
-                                 SupervisorConfig config)
-    : sim_(sim), runtime_(runtime), kernel_(kernel), config_(config)
+                                 sim::DurationNs timeout,
+                                 sim::DurationNs check_interval)
+    : sim_(sim), runtime_(runtime), kernel_(kernel), timeout_(timeout),
+      check_interval_(check_interval)
 {
 }
 
@@ -27,8 +29,7 @@ AgentSupervisor::Supervise(AgentId id, std::shared_ptr<GhostAgent> agent,
     fallback_factory_ = std::move(fallback_factory);
     fallback_cpu_ = &fallback_cpu;
 
-    dog_ = std::make_unique<Watchdog>(sim_, config_.timeout,
-                                      config_.check_interval,
+    dog_ = std::make_unique<Watchdog>(sim_, timeout_, check_interval_,
                                       [this] { OnExpire(); });
     WAVE_CHECK_HOOK(dog_->AttachProtocol(runtime_.Protocol()));
     dog_->Arm();
@@ -44,7 +45,7 @@ AgentSupervisor::FeedLoop()
     // either way the counter freezes and the watchdog starves.
     std::uint64_t last_iterations = agent_->Stats().iterations;
     while (!dog_->Expired()) {
-        co_await sim_.Delay(config_.feed_interval);
+        co_await sim_.Delay(check_interval_);
         const std::uint64_t now_iterations = agent_->Stats().iterations;
         if (dog_->Expired()) break;  // expiry raced with the sleep
         if (now_iterations != last_iterations) {

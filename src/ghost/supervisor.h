@@ -11,8 +11,9 @@
  *
  * AgentSupervisor packages that loop for simulations and tests:
  *
- *   1. a feed task samples the supervised agent's iteration counter and
- *      feeds the Watchdog while the counter advances,
+ *   1. a feed task samples the supervised agent's iteration counter
+ *      every check interval and feeds the Watchdog while the counter
+ *      advances,
  *   2. on expiry it issues KILL_WAVE_AGENT, starts a caller-supplied
  *      fallback GhostAgent on a host core over the same transport, and
  *   3. calls KernelSched::ReannounceAll() so every runnable thread
@@ -33,18 +34,6 @@
 
 namespace wave::ghost {
 
-/** Supervision knobs (defaults: the paper's thread-scheduler values). */
-struct SupervisorConfig {
-    /** Liveness-staleness threshold before the kill (§3.3: 20 ms). */
-    sim::DurationNs timeout = 20'000'000;
-
-    /** Watchdog poll period. */
-    sim::DurationNs check_interval = 1'000'000;
-
-    /** How often the feed task samples the agent's iteration counter. */
-    sim::DurationNs feed_interval = 500'000;
-};
-
 /** What the supervisor has done so far. */
 struct SupervisorStats {
     std::uint64_t expiries = 0;
@@ -55,8 +44,14 @@ struct SupervisorStats {
 /** Supervises one Wave agent; falls back to a host agent on expiry. */
 class AgentSupervisor {
   public:
+    /**
+     * @p timeout is the liveness-staleness threshold before the kill
+     * (§3.3: 20 ms); the watchdog polls, and the feed task samples the
+     * agent's iteration counter, every @p check_interval.
+     */
     AgentSupervisor(sim::Simulator& sim, WaveRuntime& runtime,
-                    KernelSched& kernel, SupervisorConfig config = {});
+                    KernelSched& kernel, sim::DurationNs timeout,
+                    sim::DurationNs check_interval);
     ~AgentSupervisor();
 
     /**
@@ -82,7 +77,8 @@ class AgentSupervisor {
     sim::Simulator& sim_;
     WaveRuntime& runtime_;
     KernelSched& kernel_;
-    SupervisorConfig config_;
+    sim::DurationNs timeout_;
+    sim::DurationNs check_interval_;
     SupervisorStats stats_;
 
     AgentId agent_id_ = 0;

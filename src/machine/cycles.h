@@ -1,26 +1,15 @@
 /**
  * @file
- * Strong-typed cycle counts for the two clock domains.
+ * Core clock frequencies.
  *
  * The testbed stitches together an x86 host socket and an ARM SmartNIC
- * SoC whose cores tick at different frequencies. A raw uint64 "cycles"
- * value silently crosses that seam; HostCycles and NicCycles are
- * distinct wrapper types so host-cycle arithmetic can never mix with
- * NIC-cycle arithmetic, and neither mixes with nanoseconds — the
- * compiler rejects `host + nic` and `cycles + duration` outright.
- *
- * Conversion between cycles and simulated time always carries the
- * frequency explicitly (CyclesIn / DurationOf take a FreqGhz), so the
- * clock rate used at a conversion site is visible in the source rather
- * than baked into a constant nobody can audit.
+ * SoC. Costs are charged in nanoseconds at a reference clock and scaled
+ * by per-domain speed ratios (machine::ClockDomain); FreqGhz carries a
+ * raw clock rate where one is needed, as in the turbo model's
+ * frequency grants.
  */
 // wave-domain: neutral
 #pragma once
-
-#include <cstdint>
-#include <type_traits>
-
-#include "sim/time.h"
 
 namespace wave::machine {
 
@@ -65,138 +54,5 @@ class FreqGhz {
   private:
     double ghz_ = 0.0;
 };
-
-/**
- * A count of core clock cycles in one clock domain.
- *
- * The Tag parameter makes each instantiation a distinct type with no
- * cross-domain operators; all arithmetic is uint64 modulo 2^64.
- */
-template <typename Tag>
-class CycleCount {
-  public:
-    constexpr CycleCount() = default;
-
-    template <typename T,
-              std::enable_if_t<std::is_integral_v<T>, int> = 0>
-    constexpr explicit CycleCount(T cycles)
-        : cycles_(static_cast<std::uint64_t>(cycles))
-    {
-    }
-
-    constexpr std::uint64_t count() const { return cycles_; }
-
-    constexpr CycleCount&
-    operator+=(CycleCount o)
-    {
-        cycles_ += o.cycles_;
-        return *this;
-    }
-
-    constexpr CycleCount&
-    operator-=(CycleCount o)
-    {
-        cycles_ -= o.cycles_;
-        return *this;
-    }
-
-    friend constexpr CycleCount
-    operator+(CycleCount a, CycleCount b)
-    {
-        return CycleCount(a.cycles_ + b.cycles_);
-    }
-
-    friend constexpr CycleCount
-    operator-(CycleCount a, CycleCount b)
-    {
-        return CycleCount(a.cycles_ - b.cycles_);
-    }
-
-    friend constexpr bool
-    operator==(CycleCount a, CycleCount b)
-    {
-        return a.cycles_ == b.cycles_;
-    }
-
-    friend constexpr bool
-    operator!=(CycleCount a, CycleCount b)
-    {
-        return a.cycles_ != b.cycles_;
-    }
-
-    friend constexpr bool
-    operator<(CycleCount a, CycleCount b)
-    {
-        return a.cycles_ < b.cycles_;
-    }
-
-    friend constexpr bool
-    operator<=(CycleCount a, CycleCount b)
-    {
-        return a.cycles_ <= b.cycles_;
-    }
-
-    friend constexpr bool
-    operator>(CycleCount a, CycleCount b)
-    {
-        return a.cycles_ > b.cycles_;
-    }
-
-    friend constexpr bool
-    operator>=(CycleCount a, CycleCount b)
-    {
-        return a.cycles_ >= b.cycles_;
-    }
-
-  private:
-    std::uint64_t cycles_ = 0;
-};
-
-struct HostCycleTag;
-struct NicCycleTag;
-
-/** Cycles of an x86 host core. Will not mix with NicCycles or ns. */
-using HostCycles = CycleCount<HostCycleTag>;
-
-/** Cycles of an ARM SmartNIC core. Will not mix with HostCycles/ns. */
-using NicCycles = CycleCount<NicCycleTag>;
-
-/**
- * Cycles a clock at @p freq accumulates over @p d (truncating).
- *
- * Explicit, frequency-carrying conversion: the same duration converts
- * to different cycle counts in the two domains, so the frequency must
- * appear at the call site.
- */
-template <typename Tag>
-constexpr CycleCount<Tag>
-CyclesIn(sim::DurationNs d, FreqGhz freq)
-{
-    // GHz == cycles per nanosecond, so cycles = ns * GHz.
-    return CycleCount<Tag>(
-        static_cast<std::uint64_t>(d.ToDouble() * freq.ghz()));
-}
-
-/** Simulated time a clock at @p freq needs for @p c cycles. */
-template <typename Tag>
-constexpr sim::DurationNs
-DurationOf(CycleCount<Tag> c, FreqGhz freq)
-{
-    return sim::DurationNs::FromDouble(static_cast<double>(c.count()) /
-                                       freq.ghz());
-}
-
-/** CyclesIn instantiation helpers with the domain spelled out. */
-constexpr HostCycles
-HostCyclesIn(sim::DurationNs d, FreqGhz freq)
-{
-    return CyclesIn<HostCycleTag>(d, freq);
-}
-
-constexpr NicCycles
-NicCyclesIn(sim::DurationNs d, FreqGhz freq)
-{
-    return CyclesIn<NicCycleTag>(d, freq);
-}
 
 }  // namespace wave::machine

@@ -51,15 +51,6 @@ struct MachineConfig {
      * policy code in §7.4 (calibrated from the paper's SOL table).
      */
     double nic_speed = 0.61;
-
-    /**
-     * Nominal clock frequencies of the two domains. Distinct from the
-     * speed ratios above: speed folds in per-cycle IPC differences,
-     * while these are the raw clock rates used to convert between
-     * HostCycles/NicCycles and simulated time (machine/cycles.h).
-     */
-    FreqGhz host_freq = kReferenceFreq;
-    FreqGhz nic_freq{3.0};
 };
 
 /** The simulated testbed: host cores, NIC cores, and clock domains. */
@@ -91,12 +82,6 @@ class Machine {
 
     ClockDomain& HostDomain() { return host_domain_; }
     ClockDomain& NicDomain() { return nic_domain_; }
-
-    /** Host clock rate, for HostCycles <-> DurationNs conversions. */
-    FreqGhz HostFreq() const { return config_.host_freq; }
-
-    /** NIC clock rate, for NicCycles <-> DurationNs conversions. */
-    FreqGhz NicFreq() const { return config_.nic_freq; }
 
     const MachineConfig& Config() const { return config_; }
 

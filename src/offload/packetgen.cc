@@ -3,6 +3,20 @@
 
 namespace wave::offload {
 
+namespace {
+
+/** Zipf skew of flow popularity over the flow universe. */
+constexpr double kZipfTheta = 0.9;
+
+/** Payload length range (uniform, inclusive). */
+constexpr std::uint32_t kPayloadMin = 64;
+constexpr std::uint32_t kPayloadMax = 1024;
+
+/** Fraction of packets carrying a rendered HTTP request. */
+constexpr double kHttpFraction = 0.75;
+
+}  // namespace
+
 FiveTuple
 FlowTuple(std::size_t flow)
 {
@@ -28,7 +42,7 @@ RunPacketGenerator(sim::Simulator& sim, OffloadPipeline& pipeline,
     // arrival process (same discipline as the workload load generator).
     sim::Rng arrivals(sim::StreamSeed(config.seed, "pkt-arrivals"));
     sim::Rng shape(sim::StreamSeed(config.seed, "pkt-shape"));
-    const sim::ZipfDistribution zipf(config.flows, config.zipf_theta);
+    const sim::ZipfDistribution zipf(config.flows, kZipfTheta);
     const double mean_gap_ns = 1e9 / config.rate_pps;
 
     while (sim.Now() < config.end_time) {
@@ -40,9 +54,9 @@ RunPacketGenerator(sim::Simulator& sim, OffloadPipeline& pipeline,
         PacketDesc desc;
         desc.tuple = FlowTuple(flow);
         desc.payload_len = static_cast<std::uint32_t>(shape.NextInRange(
-            config.payload_min, config.payload_max));
+            kPayloadMin, kPayloadMax));
         desc.payload_seed = shape.Next();
-        desc.http = shape.NextBernoulli(config.http_fraction);
+        desc.http = shape.NextBernoulli(kHttpFraction);
         desc.http_key = static_cast<std::uint32_t>(flow);
         pipeline.Inject(desc);  // false = counted RX drop (open loop)
     }

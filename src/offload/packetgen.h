@@ -5,7 +5,7 @@
  * Poisson arrivals at a configured aggregate rate; flow popularity is
  * Zipf over a fixed flow universe (no new-flow churn in steady state,
  * so the connection table warms once); payload sizes are uniform in a
- * range; a configurable fraction of packets carry a rendered HTTP GET
+ * range; a fixed fraction of packets carry a rendered HTTP GET
  * (the rest are opaque filler). Open loop means drops at the pool are
  * *counted, not back-pressured* — exactly how an RX ring sheds load.
  */
@@ -28,14 +28,6 @@ struct PacketGenConfig {
 
     /** Fixed flow universe size (Zipf-distributed popularity). */
     std::size_t flows = 256;
-    double zipf_theta = 0.9;
-
-    /** Payload length range (uniform, inclusive). */
-    std::uint32_t payload_min = 64;
-    std::uint32_t payload_max = 1024;
-
-    /** Fraction of packets carrying a rendered HTTP request. */
-    double http_fraction = 0.75;
 
     /** No arrivals at or after this time. */
     sim::TimeNs end_time{};

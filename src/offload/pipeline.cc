@@ -5,12 +5,21 @@
 
 namespace wave::offload {
 
+namespace {
+
+/** Max packets a worker processes per wakeup. */
+constexpr std::size_t kBatch = 16;
+
+/** Poll period when a worker finds its ring empty. */
+constexpr sim::DurationNs kIdlePollNs = 500;
+
+}  // namespace
+
 OffloadPipeline::OffloadPipeline(sim::Simulator& sim,
                                  const PipelineConfig& config)
     : sim_(sim), config_(config), chain_(config.chain)
 {
     WAVE_ASSERT(config_.pool_size > 0);
-    WAVE_ASSERT(config_.batch > 0);
     pool_.resize(config_.pool_size);
     free_.Reserve(config_.pool_size);
     for (std::size_t i = 0; i < config_.pool_size; ++i) {
@@ -141,7 +150,7 @@ OffloadPipeline::RunWorker(machine::Cpu& cpu, std::size_t segment)
 {
     while (running_) {
         std::size_t n = 0;
-        while (n < config_.batch && !rings_[segment].Empty()) {
+        while (n < kBatch && !rings_[segment].Empty()) {
             const std::uint32_t idx = rings_[segment].PopFront();
             bool alive = true;
             const sim::DurationNs cost = StepPacket(idx, segment, &alive);
@@ -150,7 +159,7 @@ OffloadPipeline::RunWorker(machine::Cpu& cpu, std::size_t segment)
             ++n;
         }
         if (n == 0) {
-            co_await sim_.Delay(config_.idle_poll_ns);
+            co_await sim_.Delay(kIdlePollNs);
         }
     }
 }

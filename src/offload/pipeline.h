@@ -50,12 +50,6 @@ struct PipelineConfig {
 
     /** Packet pool size; also every segment ring's capacity. */
     std::size_t pool_size = 4096;
-
-    /** Max packets a worker processes per wakeup. */
-    std::size_t batch = 16;
-
-    /** Poll period when a worker finds its ring empty. */
-    sim::DurationNs idle_poll_ns = 500;
 };
 
 /** Aggregate pipeline counters. */

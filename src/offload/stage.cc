@@ -12,6 +12,15 @@ constexpr std::array<std::uint8_t, 16> kStageAesKey = {
     0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
     0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
 
+/** The calibrated per-stage costs. */
+constexpr OffloadCosts kCosts{};
+
+/** Load-balancer backend pool size. */
+constexpr std::uint16_t kNumBackends = 8;
+
+/** Firewall default action when no rule matches. */
+constexpr bool kDefaultAllow = true;
+
 }  // namespace
 
 const char*
@@ -63,38 +72,37 @@ BuildDefaultSignatures()
 
 StageChain::StageChain(const StageChainConfig& config)
     : order_(config.stages),
-      costs_(config.costs),
-      touch_payload_(config.touch_payload),
-      num_backends_(config.num_backends),
-      acl_(config.acl_rules.empty() ? BuildDefaultAcl() : config.acl_rules,
-           config.default_allow),
+      acl_(BuildDefaultAcl(), kDefaultAllow),
       rss_key_(DefaultRssKey()),
       aes_(kStageAesKey),
-      scanner_(config.scan_patterns.empty() ? BuildDefaultSignatures()
-                                            : config.scan_patterns),
+      scanner_(BuildDefaultSignatures()),
       cms_(/*width_log2=*/12, /*depth=*/4),
       hll_(/*precision_bits=*/10)
 {
     WAVE_ASSERT(!order_.empty(), "stage chain with no stages");
-    WAVE_ASSERT(num_backends_ > 0);
     connections_.reserve(config.expected_flows);
 }
 
 // wave-hot: begin
+namespace {
+
+/** Calibrated cost entry for @p kind. */
 const StageCost&
-StageChain::CostOf(StageKind kind) const
+CostOf(StageKind kind)
 {
     switch (kind) {
-      case StageKind::kFirewall:     return costs_.firewall;
-      case StageKind::kLoadBalancer: return costs_.load_balancer;
-      case StageKind::kHttpParser:   return costs_.http_parser;
-      case StageKind::kAesCtr:       return costs_.aes_ctr;
-      case StageKind::kSha256:       return costs_.sha256;
-      case StageKind::kRegexScan:    return costs_.regex_scan;
-      case StageKind::kMonitor:      return costs_.monitor;
+      case StageKind::kFirewall:     return kCosts.firewall;
+      case StageKind::kLoadBalancer: return kCosts.load_balancer;
+      case StageKind::kHttpParser:   return kCosts.http_parser;
+      case StageKind::kAesCtr:       return kCosts.aes_ctr;
+      case StageKind::kSha256:       return kCosts.sha256;
+      case StageKind::kRegexScan:    return kCosts.regex_scan;
+      case StageKind::kMonitor:      return kCosts.monitor;
     }
-    return costs_.firewall;
+    return kCosts.firewall;
 }
+
+}  // namespace
 
 sim::DurationNs
 StageChain::ProcessRange(Packet& p, std::size_t begin, std::size_t end,
@@ -137,53 +145,42 @@ StageChain::RunStage(StageKind kind, Packet& p)
             ++st.sticky_hits;
         } else {
             const std::uint32_t h = ToeplitzHashTuple(rss_key_, p.tuple);
-            p.backend = static_cast<std::uint16_t>(h % num_backends_);
+            p.backend = static_cast<std::uint16_t>(h % kNumBackends);
             connections_.emplace(key, p.backend);
             ++st.new_flows;
         }
         return true;
       }
       case StageKind::kHttpParser: {
-        if (touch_payload_) {
-            HttpRequest req;
-            p.http_ok = ParseHttpRequest(p.payload.data(), p.payload_len,
-                                         &req)
-                            ? 1
-                            : 0;
-            if (p.http_ok == 0) ++st.parse_errors;
-        }
+        HttpRequest req;
+        p.http_ok =
+            ParseHttpRequest(p.payload.data(), p.payload_len, &req) ? 1 : 0;
+        if (p.http_ok == 0) ++st.parse_errors;
         return true;
       }
       case StageKind::kAesCtr: {
-        if (touch_payload_) {
-            std::array<std::uint8_t, 16> ctr{};
-            for (int b = 0; b < 8; ++b) {
-                ctr[static_cast<std::size_t>(b)] =
-                    static_cast<std::uint8_t>(p.id >> (56 - 8 * b));
-            }
-            aes_.CtrCrypt(ctr, p.payload.data(), p.payload_len);
+        std::array<std::uint8_t, 16> ctr{};
+        for (int b = 0; b < 8; ++b) {
+            ctr[static_cast<std::size_t>(b)] =
+                static_cast<std::uint8_t>(p.id >> (56 - 8 * b));
         }
+        aes_.CtrCrypt(ctr, p.payload.data(), p.payload_len);
         return true;
       }
       case StageKind::kSha256: {
-        if (touch_payload_) {
-            const auto digest =
-                Sha256::Digest(p.payload.data(), p.payload_len);
-            p.digest = (static_cast<std::uint32_t>(digest[0]) << 24) |
-                       (static_cast<std::uint32_t>(digest[1]) << 16) |
-                       (static_cast<std::uint32_t>(digest[2]) << 8) |
-                       static_cast<std::uint32_t>(digest[3]);
-        }
+        const auto digest = Sha256::Digest(p.payload.data(), p.payload_len);
+        p.digest = (static_cast<std::uint32_t>(digest[0]) << 24) |
+                   (static_cast<std::uint32_t>(digest[1]) << 16) |
+                   (static_cast<std::uint32_t>(digest[2]) << 8) |
+                   static_cast<std::uint32_t>(digest[3]);
         return true;
       }
       case StageKind::kRegexScan: {
-        if (touch_payload_) {
-            const std::uint32_t hits =
-                scanner_.Scan(p.payload.data(), p.payload_len);
-            p.scan_hits = static_cast<std::uint16_t>(
-                hits > 0xffff ? 0xffff : hits);
-            st.scan_hits += hits;
-        }
+        const std::uint32_t hits =
+            scanner_.Scan(p.payload.data(), p.payload_len);
+        p.scan_hits =
+            static_cast<std::uint16_t>(hits > 0xffff ? 0xffff : hits);
+        st.scan_hits += hits;
         return true;
       }
       case StageKind::kMonitor: {

@@ -66,33 +66,13 @@ struct StageStats {
     std::uint64_t sticky_hits = 0;   ///< load balancer (table hits)
 };
 
-/** Chain configuration: order, costs, and kernel shapes. */
+/** Chain configuration: stage order and connection-table size. */
 struct StageChainConfig {
     /** Stage order; duplicates are allowed (a stage can run twice). */
     std::vector<StageKind> stages{kAllStages.begin(), kAllStages.end()};
 
-    OffloadCosts costs;
-
-    /** Load-balancer backend pool size. */
-    std::uint16_t num_backends = 8;
-
     /** Connection-table reserve (flows expected in steady state). */
     std::size_t expected_flows = 4096;
-
-    /** Firewall default action when no rule matches. */
-    bool default_allow = true;
-
-    /** ACL rules; empty selects a small built-in rule set. */
-    std::vector<AclRule> acl_rules;
-
-    /** Scan patterns; empty selects the built-in signature set. */
-    std::vector<std::string> scan_patterns;
-
-    /**
-     * Run the byte-touching kernels (AES/SHA/scan/parse) on the
-     * payload. Off = cost model only; on (default) keeps them honest.
-     */
-    bool touch_payload = true;
 };
 
 /** The default deny rules the built-in ACL ships with. */
@@ -137,18 +117,12 @@ class StageChain {
     /** Applies one stage; returns false when the packet is terminated. */
     bool RunStage(StageKind kind, Packet& p);
 
-    /** Calibrated cost entry for @p kind. */
-    const StageCost& CostOf(StageKind kind) const;
-
     StageStats& MutableStats(StageKind kind)
     {
         return stats_[static_cast<std::size_t>(kind)];
     }
 
     std::vector<StageKind> order_;
-    OffloadCosts costs_;
-    bool touch_payload_;
-    std::uint16_t num_backends_;
 
     AclTable acl_;
     ToeplitzKey rss_key_;

@@ -8,6 +8,27 @@
 
 namespace wave::offload {
 
+namespace {
+
+/**
+ * Max packets the agent's co-located slice processes per agent
+ * iteration (the agent-priority bound: stage work can never hold the
+ * agent core longer than this per pass).
+ */
+constexpr std::size_t kColoBatch = 4;
+
+/**
+ * Skip the co-located slice entirely while the scheduling run queue is
+ * at least this deep: scheduling work preempts stage work when the
+ * agent is behind.
+ */
+constexpr std::size_t kColoSkipDepth = 16;
+
+/** The multi-queue Shinjuku preemption slice. */
+constexpr sim::DurationNs kSliceNs = 30'000;
+
+}  // namespace
+
 OffloadSweepResult
 RunOffloadSweep(const OffloadSweepConfig& cfg)
 {
@@ -22,14 +43,12 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
 
     const std::shared_ptr<ghost::SchedPolicy> policy =
         workload::MakeSchedPolicy(workload::PolicyKind::kMultiQueueShinjuku,
-                                  cfg.slice_ns);
+                                  kSliceNs);
 
     // --- the offload datapath ---
     const bool datapath = cfg.core_share > 0 && cfg.nic_cores > 1;
     PipelineConfig pc;
     pc.placement = cfg.placement;
-    pc.pool_size = cfg.pool_size;
-    pc.batch = cfg.batch;
     pc.chain.expected_flows = cfg.flows * 2;
     OffloadPipeline pipeline(sim, pc);
 
@@ -46,15 +65,10 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
         // returns borrows only the long-lived pipeline and context —
         // see rpc_experiment.cc for the W202 rationale.
         ghost::SchedPolicy* pol = policy.get();
-        const std::size_t budget = cfg.colo_batch;
-        const std::size_t skip_depth = cfg.colo_skip_depth;
-        agent_cfg.aux_stage = [&pipeline, pol, budget,
-                               skip_depth](AgentContext& ctx) {
-            const std::size_t b =
-                skip_depth > 0 && pol->RunQueueDepth() >= skip_depth
-                    ? 0
-                    : budget;
-            return pipeline.RunColocatedSlice(ctx.Cpu(), b);
+        agent_cfg.aux_stage = [&pipeline, pol](AgentContext& ctx) {
+            const std::size_t budget =
+                pol->RunQueueDepth() >= kColoSkipDepth ? 0 : kColoBatch;
+            return pipeline.RunColocatedSlice(ctx.Cpu(), budget);
         };
     }
     bed.StartAgent(policy, std::move(agent_cfg));
@@ -71,9 +85,6 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
 
     workload::LoadGenConfig lg;
     lg.rate_rps = cfg.offered_rps;
-    lg.get_fraction = cfg.get_fraction;
-    lg.get_service_ns = cfg.get_service_ns;
-    lg.range_service_ns = cfg.range_service_ns;
     lg.end_time = measure_end;
     lg.seed = sim::StreamSeed(cfg.seed, "workload");
     bed.SpawnLoad(lg);
@@ -88,10 +99,6 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
         PacketGenConfig pg;
         pg.rate_pps = cfg.core_share * cfg.full_rate_pps;
         pg.flows = cfg.flows;
-        pg.zipf_theta = cfg.zipf_theta;
-        pg.payload_min = cfg.payload_min;
-        pg.payload_max = cfg.payload_max;
-        pg.http_fraction = cfg.http_fraction;
         pg.end_time = measure_end;
         pg.seed = sim::StreamSeed(cfg.seed, "packets");
         sim.Spawn(RunPacketGenerator(sim, pipeline, pg));

@@ -54,34 +54,10 @@ struct OffloadSweepConfig {
 
     // --- datapath shape ---
     Placement placement = Placement::kRunToCompletion;
-    std::size_t pool_size = 4096;
-    std::size_t batch = 16;
     std::size_t flows = 256;
-    double zipf_theta = 0.9;
-    std::uint32_t payload_min = 64;
-    std::uint32_t payload_max = 1024;
-    double http_fraction = 0.75;
-
-    /**
-     * Max packets the agent's co-located slice processes per agent
-     * iteration (the agent-priority bound: stage work can never hold
-     * the agent core longer than this per pass).
-     */
-    std::size_t colo_batch = 4;
-
-    /**
-     * Skip the co-located slice entirely while the scheduling run
-     * queue is at least this deep (0 = never skip): scheduling work
-     * preempts stage work when the agent is behind.
-     */
-    std::size_t colo_skip_depth = 16;
 
     // --- host workload ---
     double offered_rps = 150'000;
-    double get_fraction = 1.0;
-    sim::DurationNs get_service_ns = 10'000;
-    sim::DurationNs range_service_ns = 10'000'000;
-    sim::DurationNs slice_ns = 30'000;
 
     // --- windows ---
     std::uint64_t warmup_ns = 15'000'000;

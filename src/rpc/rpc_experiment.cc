@@ -13,7 +13,6 @@ namespace wave::rpc {
 namespace {
 
 using workload::Request;
-using workload::RequestKind;
 
 /** Per-scenario transfer/steering costs (reference-core ns). */
 struct ScenarioCosts {
@@ -76,38 +75,6 @@ RunSteeringStage(SteeringStage& stage, AgentContext& ctx)
         // Worker-side payload fetch is part of its service time.
         request.service_ns += stage.costs.worker_fetch_ns;
         stage.service->Submit(std::move(request));
-    }
-}
-
-// wave-lifetime(spawn-safe: sim, stack, and cfg are owned by the experiment frame, which runs the simulator to completion before returning; the queue handle is copied into the frame)
-sim::Task<>
-GenerateRpcLoad(sim::Simulator& sim, RpcStack& stack,
-                std::shared_ptr<std::deque<Request>> queue,
-                const RpcExperimentConfig& cfg)
-{
-    sim::Rng rng(cfg.seed);
-    const double mean_gap_ns = 1e9 / cfg.offered_rps;
-    std::uint64_t next_id = 1;
-    const sim::TimeNs end{cfg.warmup_ns + cfg.measure_ns};
-    while (sim.Now() < end) {
-        co_await sim.Delay(sim::DurationNs::FromDouble(
-            rng.NextExponential(mean_gap_ns)));
-        if (sim.Now() >= end) break;
-        Request request;
-        request.id = next_id++;
-        request.arrival = sim.Now();
-        if (rng.NextBernoulli(cfg.get_fraction)) {
-            request.kind = RequestKind::kGet;
-            request.slo_class = 0;
-            request.service_ns = cfg.get_service_ns;
-        } else {
-            request.kind = RequestKind::kRange;
-            request.slo_class = 1;
-            request.service_ns = cfg.range_service_ns;
-        }
-        stack.ProcessIncoming(std::move(request), [queue](Request r) {
-            queue->push_back(std::move(r));
-        });
     }
 }
 
@@ -190,7 +157,21 @@ RunRpcExperiment(const RpcExperimentConfig& cfg)
     bed.Start();
 
     // --- load generation: arrivals land at the RPC stack ---
-    sim.Spawn(GenerateRpcLoad(sim, stack, steering_queue, cfg));
+    workload::LoadGenConfig load;
+    load.rate_rps = cfg.offered_rps;
+    load.get_fraction = cfg.get_fraction;
+    load.get_service_ns = cfg.get_service_ns;
+    load.range_service_ns = cfg.range_service_ns;
+    load.end_time = window_end;
+    load.seed = cfg.seed;
+    sim.Spawn(workload::RunLoadGenerator(
+        sim,
+        [stack = &stack, queue = steering_queue](Request request) {
+            stack->ProcessIncoming(std::move(request), [queue](Request r) {
+                queue->push_back(std::move(r));
+            });
+        },
+        load));
 
     // Run past the window so in-flight responses can drain a little.
     sim.RunUntil(window_end + 2'000'000);

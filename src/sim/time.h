@@ -14,8 +14,8 @@
  *
  *   point  - point     -> duration        point  + point     REJECTED
  *   point  +- duration -> point           point  * anything  REJECTED
- *   duration +- duration -> duration      ns + cycles        REJECTED
- *   duration * integer -> duration        (see machine/cycles.h)
+ *   duration +- duration -> duration
+ *   duration * integer -> duration
  *   duration / integer -> duration
  *   duration / duration -> plain count    duration % duration -> duration
  *

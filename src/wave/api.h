@@ -18,13 +18,6 @@
 
 namespace wave::api {
 
-/** Queue transport selection (SET_QUEUE_TYPE). */
-enum class QueueBackend {
-    kMmio,      ///< low latency, low throughput (scheduling, RPC)
-    kDmaSync,   ///< high throughput, producer blocks on completion
-    kDmaAsync,  ///< high throughput, producer continues after doorbell
-};
-
 /**
  * The §5.3.1-§5.4 optimization ladder, matching the ablation in §7.2.2.
  *

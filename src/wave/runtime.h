@@ -125,8 +125,8 @@ class WaveRuntime {
     NicToHostChannel CreateNicToHostQueue(const channel::QueueConfig& qc);
 
     /**
-     * Creates a DMA queue in the given direction (QueueBackend::kDmaSync
-     * / kDmaAsync is chosen per Send call on the returned queue).
+     * Creates a DMA queue in the given direction; each Send on the
+     * returned queue picks sync or async transfer.
      */
     std::unique_ptr<channel::DmaQueue> CreateDmaQueue(
         const channel::QueueConfig& qc, pcie::DmaInitiator initiator);

@@ -3,9 +3,17 @@
 
 namespace wave::workload {
 
-// wave-lifetime(spawn-safe: sim, service, and config are owned by the experiment frame, which runs the simulator to completion before returning)
+namespace {
+
+/** GETs are the strict SLO class for multi-queue Shinjuku. */
+constexpr std::uint32_t kGetSlo = 0;
+constexpr std::uint32_t kRangeSlo = 1;
+
+}  // namespace
+
+// wave-lifetime(spawn-safe: sim and whatever the sink borrows are owned by the experiment frame, which runs the simulator to completion before returning; sink and config are taken by value)
 sim::Task<>
-RunLoadGenerator(sim::Simulator& sim, KvService& service,
+RunLoadGenerator(sim::Simulator& sim, std::function<void(Request)> sink,
                  LoadGenConfig config)
 {
     sim::Rng rng(config.seed);
@@ -22,15 +30,25 @@ RunLoadGenerator(sim::Simulator& sim, KvService& service,
         request.arrival = sim.Now();
         if (rng.NextBernoulli(config.get_fraction)) {
             request.kind = RequestKind::kGet;
-            request.slo_class = config.get_slo;
+            request.slo_class = kGetSlo;
             request.service_ns = config.get_service_ns;
         } else {
             request.kind = RequestKind::kRange;
-            request.slo_class = config.range_slo;
+            request.slo_class = kRangeSlo;
             request.service_ns = config.range_service_ns;
         }
-        service.Submit(std::move(request));
+        sink(std::move(request));
     }
+}
+
+sim::Task<>
+RunLoadGenerator(sim::Simulator& sim, KvService& service,
+                 LoadGenConfig config)
+{
+    return RunLoadGenerator(
+        sim,
+        [&service](Request request) { service.Submit(std::move(request)); },
+        std::move(config));
 }
 
 }  // namespace wave::workload

@@ -12,6 +12,8 @@
 // wave-domain: host
 #pragma once
 
+#include <functional>
+
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
@@ -31,17 +33,18 @@ struct LoadGenConfig {
     sim::DurationNs get_service_ns = 10'000;         ///< 10 us
     sim::DurationNs range_service_ns = 10'000'000;   ///< 10 ms
 
-    /** GETs are the strict SLO class for multi-queue Shinjuku. */
-    std::uint32_t get_slo = 0;
-    std::uint32_t range_slo = 1;
-
     /** Generation stops at this simulated time. */
     sim::TimeNs end_time{};
 
     std::uint64_t seed = 1;
 };
 
-/** Runs the generator as a simulation process. */
+/** Runs the generator as a simulation process handing arrivals to @p sink. */
+sim::Task<> RunLoadGenerator(sim::Simulator& sim,
+                             std::function<void(Request)> sink,
+                             LoadGenConfig config);
+
+/** Runs the generator as a simulation process submitting to @p service. */
 sim::Task<> RunLoadGenerator(sim::Simulator& sim, KvService& service,
                              LoadGenConfig config);
 

@@ -92,9 +92,7 @@ Testbed::Supervise(sim::DurationNs timeout, sim::DurationNs check_interval)
 {
     WAVE_ASSERT(config_.placement == Deployment::kWave,
                 "only a Wave agent can be supervised");
-    supervisor_.emplace(sim_, runtime_, *kernel_,
-                        ghost::SupervisorConfig{timeout, check_interval,
-                                                check_interval});
+    supervisor_.emplace(sim_, runtime_, *kernel_, timeout, check_interval);
     supervisor_->Supervise(
         agent_id_, agent_,
         [this] {

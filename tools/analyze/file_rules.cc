@@ -115,8 +115,7 @@ void
 FileRules::Analyze(const SourceFile& f)
 {
     const bool in_check = PathHas(f.path, "check/");
-    const bool time_bridge = PathEndsWith(f.path, "sim/time.h") ||
-                             PathEndsWith(f.path, "machine/cycles.h");
+    const bool time_bridge = PathEndsWith(f.path, "sim/time.h");
 
     if (f.domain == Domain::kUnknown) {
         Add(f.path, 1, "W001",

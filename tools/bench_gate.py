@@ -10,12 +10,15 @@ Two classes of metric, told apart by name:
   value exceeds the budget, regardless of runner speed. These encode
   correctness-like properties (the W101 "allocation-free steady state"
   claim) that a fast runner cannot hide.
-* Throughput metrics (``*_per_sec``): higher is better; fail when the
-  fresh value drops more than MAX_REGRESSION (25%) below baseline. The
-  margin is deliberately generous — CI runners vary — while still
-  catching an accidental O(n) in the event loop.
+* Throughput metrics (``*_per_sec``) and same-run speedups
+  (``*_speedup``, a rate divided by a reference rate timed in the same
+  process): higher is better; fail when the fresh value drops more than
+  MAX_REGRESSION (25%) below baseline. The margin is deliberately
+  generous — CI runners vary — while still catching an accidental O(n)
+  in the event loop. A speedup cancels machine load, so a baseline that
+  can should list it instead of the absolute rates behind it.
 
-Everything else (latency samples, ratios, wall_ns_per_sim_sec) is
+Everything else (latency samples, other ratios, wall_ns_per_sim_sec) is
 reported but not gated: those either vary too much across runners or
 are gated elsewhere (figure-shape assertions live in the test suite).
 
@@ -32,8 +35,13 @@ import sys
 # harness itself (one stray allocation in a million events).
 ALLOC_BUDGET = 0.001
 
-# Largest tolerated drop of a *_per_sec metric below its baseline.
+# Largest tolerated drop of a *_per_sec or *_speedup metric below its
+# baseline.
 MAX_REGRESSION = 0.25
+
+# Name suffixes of the higher-is-better metrics gated against
+# MAX_REGRESSION.
+HIGHER_IS_BETTER = ("_per_sec", "_speedup")
 
 
 def load(path):
@@ -96,7 +104,7 @@ def main(argv):
                     f"{name}: {now:g} exceeds the {ALLOC_BUDGET:g} "
                     f"budget — a per-event heap allocation is back on "
                     f"the hot path (see docs/static-analysis.md W101)")
-        elif name.endswith("_per_sec"):
+        elif name.endswith(HIGHER_IS_BETTER):
             drop = 1.0 - now / base if base > 0 else 0.0
             verdict = "FAIL" if drop > MAX_REGRESSION else "ok"
             print(f"  {verdict:4} {name}: {now:.4g} vs baseline "
