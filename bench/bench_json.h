@@ -86,8 +86,10 @@ class BenchJson {
 
 /**
  * Parses `--json <path>` and `--quick` from argv (shared bench CLI).
- * Any other argument, or `--json` without a path, prints the usage and
- * exits with status 2, so a typo cannot silently select the full run.
+ * Any other argument, `--json` without a path, or `--quick` without
+ * `--json` (the reduced counts apply only to the JSON report) prints
+ * the usage and exits with status 2, so a typo cannot silently select
+ * the full run.
  */
 struct JsonCliArgs {
     std::string json_path;  ///< empty => human-readable mode
@@ -97,6 +99,13 @@ struct JsonCliArgs {
     Parse(int argc, char** argv)
     {
         JsonCliArgs args;
+        const auto usage = [argv](const char* why) {
+            std::fprintf(stderr,
+                         "%s: %s\n"
+                         "usage: %s [--json <path> [--quick]]\n",
+                         argv[0], why, argv[0]);
+            std::exit(2);
+        };
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             if (arg == "--json" && i + 1 < argc) {
@@ -104,12 +113,11 @@ struct JsonCliArgs {
             } else if (arg == "--quick") {
                 args.quick = true;
             } else {
-                std::fprintf(stderr,
-                             "%s: bad argument '%s'\n"
-                             "usage: %s [--json <path>] [--quick]\n",
-                             argv[0], arg.c_str(), argv[0]);
-                std::exit(2);
+                usage(("bad argument '" + arg + "'").c_str());
             }
+        }
+        if (args.quick && args.json_path.empty()) {
+            usage("--quick applies only to the --json report");
         }
         return args;
     }

@@ -179,128 +179,149 @@ PrintDesignChoiceTables()
 // --- BENCH_simcore.json: the machine-readable perf trajectory ---
 
 /**
- * Wall-clock event-loop throughput and steady-state allocation rate.
- *
- * One warmup round levels the event-queue capacity and frame pool off;
- * the measured rounds then run the loop exactly as a long simulation
- * would. AllocGuard counts global operator new calls in the measured
- * region — the dynamic check behind W101's "allocation-free steady
- * state" claim.
+ * The bare event loop: one round schedules 1000 zero-work events over
+ * 64 ns and runs them. A warmup round levels the event-queue capacity
+ * and frame pool off, so the measured rounds run the loop exactly as a
+ * long simulation would.
  */
-void
-MeasureEventLoop(bench::BenchJson& json, bool quick)
-{
-    // Several repetitions, best one reported: the first repetitions
-    // also warm the CPU governor out of its low-frequency state, and
-    // peak throughput is the stable estimator a regression gate needs
-    // (the noise is all one-sided). The allocation count covers every
-    // repetition — steady state must hold throughout.
-    constexpr int kEventsPerRound = 1000;
-    const int rounds = quick ? 200 : 1000;
-    const int reps = quick ? 5 : 3;
+class EventLoopRung {
+  public:
+    EventLoopRung() { RunRound(); }
 
-    Simulator sim;
-    std::uint64_t sink = 0;
-    const auto run_round = [&] {
-        for (int i = 0; i < kEventsPerRound; ++i) {
-            sim.Schedule(static_cast<DurationNs>(i % 64),
-                         [&sink] { ++sink; });
-        }
-        sim.Run();
-    };
-    run_round();  // warmup: event-queue capacity reaches steady state
-
-    sim::AllocGuard guard;
-    double best_rate = 0.0;
-    std::uint64_t events_total = 0;
-    for (int rep = 0; rep < reps; ++rep) {
-        const std::uint64_t events_before = sim.EventsExecuted();
+    /** Events/s over @p rounds rounds. */
+    double
+    Rep(int rounds)
+    {
+        const std::uint64_t events_before = sim_.EventsExecuted();
         const auto t0 = std::chrono::steady_clock::now();
         for (int r = 0; r < rounds; ++r) {
-            run_round();
+            RunRound();
         }
         const auto t1 = std::chrono::steady_clock::now();
-        const std::uint64_t events =
-            sim.EventsExecuted() - events_before;
-        events_total += events;
-        const double secs =
-            std::chrono::duration<double>(t1 - t0).count();
-        best_rate = std::max(best_rate,
-                             static_cast<double>(events) / secs);
+        // Reading every callback's effect keeps the timed work
+        // observable.
+        WAVE_ASSERT(sink_ == sim_.EventsExecuted(), "a callback did not run");
+        const std::uint64_t events = sim_.EventsExecuted() - events_before;
+        events_ += events;
+        return static_cast<double>(events) /
+               std::chrono::duration<double>(t1 - t0).count();
     }
-    // Reading every callback's effect keeps the timed work observable.
-    WAVE_ASSERT(sink == sim.EventsExecuted(), "a callback did not run");
 
-    json.Add("events_per_sec", best_rate, "1/s");
-    json.Add("allocs_per_event",
-             static_cast<double>(guard.Allocations()) /
-                 static_cast<double>(events_total),
-             "1/event");
+    /** Events executed by all Rep() calls. */
+    std::uint64_t Events() const { return events_; }
+
+  private:
+    void
+    RunRound()
+    {
+        constexpr int kEventsPerRound = 1000;
+        for (int i = 0; i < kEventsPerRound; ++i) {
+            sim_.Schedule(static_cast<DurationNs>(i % 64),
+                          [this] { ++sink_; });
+        }
+        sim_.Run();
+    }
+
+    Simulator sim_;
+    std::uint64_t sink_ = 0;
+    std::uint64_t events_ = 0;
+};
+
+/** One MMIO round trip's events/s and wall ns per simulated second. */
+struct RoundTripRep {
+    double events_per_sec;
+    double wall_ns_per_sim_sec;
+};
+
+/**
+ * @p rounds host->NIC round trips of one message, 1 µs apart: the
+ * "how long does a simulated second take to compute" workload that
+ * bounds every figure reproduction's runtime.
+ */
+RoundTripRep
+RunRoundTrips(int rounds)
+{
+    Simulator sim;
+    pcie::NicDram dram(sim, pcie::PcieConfig{}, 1 << 20);
+    channel::MmioQueue queue(dram, 0,
+                             QueueConfig{.capacity = 64,
+                                         .payload_size = 48});
+    channel::HostProducer producer(queue,
+                                   pcie::PteType::kWriteCombining,
+                                   pcie::PteType::kWriteThrough);
+    channel::NicConsumer consumer(queue, pcie::PteType::kWriteBack);
+    int received = 0;
+    sim.Spawn([](Simulator& s, channel::HostProducer& p,
+                 channel::NicConsumer& c, int n, int& got) -> Task<> {
+        std::vector<Bytes> batch;
+        batch.push_back(Msg(7));
+        Bytes payload;
+        for (int round = 0; round < n; ++round) {
+            co_await p.Send(batch);
+            co_await s.Delay(1'000);
+            if (co_await c.PollInto(payload)) ++got;
+        }
+    }(sim, producer, consumer, rounds, received));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    sim.Run();
+    const auto t1 = std::chrono::steady_clock::now();
+    WAVE_ASSERT(received == rounds, "a round trip lost its message");
+    const double wall_ns =
+        std::chrono::duration<double, std::nano>(t1 - t0).count();
+    return RoundTripRep{
+        static_cast<double>(sim.EventsExecuted()) / (wall_ns / 1e9),
+        wall_ns / (sim.Now().ns() / 1e9)};
 }
 
 /**
- * Wall-clock cost of simulating one second of the MMIO round-trip
- * workload — the "how long does a simulated second take to compute"
- * number that bounds every figure reproduction's runtime.
+ * Wall-clock rates of the event loop and the MMIO round trip, and the
+ * event loop's steady-state allocation rate.
+ *
+ * The two rungs alternate, rep by rep, and each reports its best rep:
+ * the first reps also warm the CPU governor out of its low-frequency
+ * state, and peak throughput is the stable estimator a regression gate
+ * needs (the noise is all one-sided). Alternating puts both bests in the
+ * same stretch of machine load, so their ratio, which tools/bench_gate.py
+ * gates, cancels it. AllocGuard counts global operator new calls during
+ * the event-loop reps only — the dynamic check behind W101's
+ * "allocation-free steady state" claim.
  */
-void
-MeasureSimTimeRatio(bench::BenchJson& json, bool quick)
-{
-    // Best of several repetitions, as in MeasureEventLoop.
-    const int rounds = quick ? 5'000 : 20'000;
-    const int reps = quick ? 4 : 3;
-
-    double best_rate = 0.0;
-    double best_ratio = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        Simulator sim;
-        pcie::NicDram dram(sim, pcie::PcieConfig{}, 1 << 20);
-        channel::MmioQueue queue(dram, 0,
-                                 QueueConfig{.capacity = 64,
-                                             .payload_size = 48});
-        channel::HostProducer producer(queue,
-                                       pcie::PteType::kWriteCombining,
-                                       pcie::PteType::kWriteThrough);
-        channel::NicConsumer consumer(queue, pcie::PteType::kWriteBack);
-        int received = 0;
-        sim.Spawn([](Simulator& s, channel::HostProducer& p,
-                     channel::NicConsumer& c, int n,
-                     int& got) -> Task<> {
-            std::vector<Bytes> batch;
-            batch.push_back(Msg(7));
-            Bytes payload;
-            for (int round = 0; round < n; ++round) {
-                co_await p.Send(batch);
-                co_await s.Delay(1'000);
-                if (co_await c.PollInto(payload)) ++got;
-            }
-        }(sim, producer, consumer, rounds, received));
-
-        const auto t0 = std::chrono::steady_clock::now();
-        sim.Run();
-        const auto t1 = std::chrono::steady_clock::now();
-        WAVE_ASSERT(received == rounds, "a round trip lost its message");
-        const double wall_ns =
-            std::chrono::duration<double, std::nano>(t1 - t0).count();
-        const double sim_secs = sim.Now().ns() / 1e9;
-        best_rate = std::max(
-            best_rate, static_cast<double>(sim.EventsExecuted()) /
-                           (wall_ns / 1e9));
-        best_ratio = best_ratio == 0.0
-                         ? wall_ns / sim_secs
-                         : std::min(best_ratio, wall_ns / sim_secs);
-    }
-
-    json.Add("wall_ns_per_sim_sec", best_ratio, "ns/sim-s");
-    json.Add("roundtrip_events_per_sec", best_rate, "1/s");
-}
-
 int
 RunJsonMode(const bench::JsonCliArgs& args)
 {
+    const int reps = args.quick ? 5 : 3;
+    const int loop_rounds = args.quick ? 200 : 1000;
+    const int roundtrip_rounds = args.quick ? 5'000 : 20'000;
+
+    EventLoopRung loop;
+    std::uint64_t loop_allocs = 0;
+    double loop_rate = 0.0;
+    RoundTripRep roundtrip{0.0, 0.0};
+    for (int rep = 0; rep < reps; ++rep) {
+        const sim::AllocGuard guard;
+        loop_rate = std::max(loop_rate, loop.Rep(loop_rounds));
+        loop_allocs += guard.Allocations();
+        const RoundTripRep r = RunRoundTrips(roundtrip_rounds);
+        roundtrip.events_per_sec =
+            std::max(roundtrip.events_per_sec, r.events_per_sec);
+        roundtrip.wall_ns_per_sim_sec =
+            rep == 0 ? r.wall_ns_per_sim_sec
+                     : std::min(roundtrip.wall_ns_per_sim_sec,
+                                r.wall_ns_per_sim_sec);
+    }
+
     bench::BenchJson json("simcore");
-    MeasureEventLoop(json, args.quick);
-    MeasureSimTimeRatio(json, args.quick);
+    json.Add("events_per_sec", loop_rate, "1/s");
+    json.Add("allocs_per_event",
+             static_cast<double>(loop_allocs) /
+                 static_cast<double>(loop.Events()),
+             "1/event");
+    json.Add("wall_ns_per_sim_sec", roundtrip.wall_ns_per_sim_sec,
+             "ns/sim-s");
+    json.Add("roundtrip_events_per_sec", roundtrip.events_per_sec, "1/s");
+    json.Add("roundtrip_vs_event_loop_speedup",
+             roundtrip.events_per_sec / loop_rate, "x");
     return json.WriteTo(args.json_path) ? 0 : 1;
 }
 

@@ -184,10 +184,9 @@ CoherenceChecker::OnWcDrained(const void* region, std::size_t offset,
 }
 
 void
-CoherenceChecker::OnOrderingPoint(const char* what)
+CoherenceChecker::OnOrderingPoint(const char* /*what*/)
 {
     stats_.ordering_points += 1;
-    last_ordering_point_ = what;
 }
 
 void
@@ -227,7 +226,6 @@ CoherenceChecker::Clear()
     violations_.clear();
     reported_.clear();
     stats_ = CheckerStats{};
-    last_ordering_point_ = "(none)";
 }
 
 }  // namespace wave::check

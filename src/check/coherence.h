@@ -184,9 +184,6 @@ class CoherenceChecker {
     }
     const CheckerStats& Stats() const { return stats_; }
 
-    /** The most recent ordering point seen, for diagnostics. */
-    const char* LastOrderingPoint() const { return last_ordering_point_; }
-
     /** When true, the first violation panics instead of recording. */
     void SetFailFast(bool on) { fail_fast_ = on; }
 
@@ -220,7 +217,6 @@ class CoherenceChecker {
     std::vector<Violation> violations_;
     std::unordered_set<std::uint64_t> reported_;  ///< dedup keys
     CheckerStats stats_;
-    const char* last_ordering_point_ = "(none)";
     bool fail_fast_ = false;
 };
 

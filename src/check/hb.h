@@ -123,8 +123,6 @@ class HbRaceDetector {
     /** Registers one execution context (label is a string literal). */
     sim::ActorId RegisterActor(const char* label);
 
-    const sim::ActorRegistry& Actors() const { return actors_; }
-
     /**
      * Sizes the sync table of @p obj: tag t lives in slot t mod
      * @p slots, kCounterTag in one more. A ring registers its capacity,

@@ -41,19 +41,6 @@ ProtocolViolationKindName(ProtocolViolationKind kind)
     return "?";
 }
 
-const char*
-TaskShadowName(TaskShadow state)
-{
-    switch (state) {
-        case TaskShadow::kUnknown: return "unknown";
-        case TaskShadow::kRunnable: return "runnable";
-        case TaskShadow::kRunning: return "running";
-        case TaskShadow::kBlocked: return "blocked";
-        case TaskShadow::kDead: return "dead";
-    }
-    return "?";
-}
-
 std::string
 ProtocolViolation::Describe() const
 {

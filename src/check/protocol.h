@@ -79,8 +79,6 @@ enum class TaskShadow {
     kDead,
 };
 
-const char* TaskShadowName(TaskShadow state);
-
 /**
  * One side of a reported protocol violation.
  *

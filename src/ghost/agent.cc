@@ -143,10 +143,10 @@ GhostAgent::HandleOutcomes(AgentContext& ctx)
             }
             bool reactive = false;
             if (!found) {
-                const auto it = reactive_.find(outcome.txn_id);
-                if (it != reactive_.end()) {
+                const auto it = model.reactive.find(outcome.txn_id);
+                if (it != model.reactive.end()) {
                     decision = it->second;
-                    reactive_.erase(it);
+                    model.reactive.erase(it);
                     reactive = true;
                 }
             }
@@ -204,8 +204,9 @@ GhostAgent::IssueDecisions(AgentContext& ctx)
         model.running = decision->tid;
         model.running_since = ctx.Sim().Now();
         // Adopted immediately, but keep the txn record so a failed
-        // commit can be matched back to its thread (see reactive_).
-        reactive_[id] = *decision;
+        // commit can be matched back to its thread (see
+        // CoreModel::reactive).
+        model.reactive[id] = *decision;
     }
 }
 

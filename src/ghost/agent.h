@@ -124,6 +124,16 @@ class GhostAgent : public Agent {
             sim::TimeNs committed_at;
         };
         std::deque<Inflight> inflight;
+
+        /**
+         * Reactive (immediately-adopted) commits in flight, by txn id.
+         * In ghOSt the agent owns the txn structure, so it always knows
+         * which thread a failed commit was for; without this record a
+         * rejection whose thread is still runnable (host-side rejects,
+         * kFailedRejected) would drop the thread from the run queue
+         * forever. Txn ids are numbered per core, so the record is too.
+         */
+        std::unordered_map<api::TxnId, GhostDecision> reactive;
     };
 
     sim::Task<> HandleMessages(AgentContext& ctx);
@@ -143,15 +153,6 @@ class GhostAgent : public Agent {
     AgentStats stats_;
     stats::Histogram iter_latency_;
     std::vector<CoreModel> cores_;  ///< indexed by host core id
-
-    /**
-     * Reactive (immediately-adopted) commits in flight, by txn id. In
-     * ghOSt the agent owns the txn structure, so it always knows which
-     * thread a failed commit was for; without this record a rejection
-     * whose thread is still runnable (host-side rejects, kFailedRejected)
-     * would drop the thread from the run queue forever.
-     */
-    std::unordered_map<api::TxnId, GhostDecision> reactive_;
 };
 
 }  // namespace wave::ghost

@@ -79,8 +79,6 @@ class Enclave {
 
     KernelSched& Kernel() { return *kernel_; }
     SchedTransport& Transport() { return *transport_; }
-    GhostAgent& CurrentAgent() { return *agent_; }
-    const EnclaveConfig& Config() const { return config_; }
 
   private:
     void StartAgentGeneration();

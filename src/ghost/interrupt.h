@@ -51,7 +51,6 @@ class CoreInterrupt {
 
     bool Pending() const { return kick_pending_ || tick_pending_; }
     bool KickPending() const { return kick_pending_; }
-    bool TickPending() const { return tick_pending_; }
 
     /** Clears the kick latch; returns whether it was set. */
     bool

@@ -119,7 +119,6 @@ class KernelSched {
 
     ThreadTable& Threads() { return threads_; }
     KernelStats& Stats() { return stats_; }
-    const GhostCosts& Costs() const { return costs_; }
 
     /**
      * Attaches the protocol verifier. The kernel reports every thread

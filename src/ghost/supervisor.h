@@ -67,8 +67,6 @@ class AgentSupervisor {
                    machine::Cpu& fallback_cpu);
 
     const SupervisorStats& Stats() const { return stats_; }
-    Watchdog& Dog() { return *dog_; }
-    GhostAgent* FallbackAgent() { return fallback_.get(); }
 
   private:
     sim::Task<> FeedLoop();

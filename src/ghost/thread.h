@@ -93,16 +93,13 @@ class ThreadTable {
         return it->second;
     }
 
-    /** Looks up a thread; nullptr if it never existed or was removed. */
+    /** Looks up a thread; nullptr if it never existed. */
     ThreadRecord*
     Find(Tid tid)
     {
         auto it = threads_.find(tid);
         return it == threads_.end() ? nullptr : &it->second;
     }
-
-    /** Removes a dead thread's record entirely. */
-    void Remove(Tid tid) { threads_.erase(tid); }
 
     std::size_t Size() const { return threads_.size(); }
 

@@ -12,8 +12,11 @@
  *     everything moves through coherent shared memory and kicks are
  *     IPIs (the on-host ghOSt baseline).
  *
- * Every experiment's "On-Host vs Wave" comparison swaps this one object
- * and nothing else, exactly as the paper swaps deployments.
+ * Both run Wave's txn endpoints (wave/txn.h) over their per-core queues
+ * through one shared per-core half, TxnSchedTransport; each binding
+ * keeps only its queue construction, message path and kick receive
+ * cost. Every experiment's "On-Host vs Wave" comparison swaps this one
+ * object and nothing else, exactly as the paper swaps deployments.
  */
 // wave-domain: host
 #pragma once
@@ -97,8 +100,126 @@ class SchedTransport {
     virtual int CoreCount() const = 0;
 };
 
+/**
+ * The per-core txn-and-kick half both bindings share. For each served
+ * core it holds the core's decision and outcome queues (@p Queues), the
+ * wave/txn endpoints over them (@p AgentTxn on the agent side,
+ * @p KernelTxn on the host side), the vector that kicks the core and
+ * the interrupt line the kick raises. A binding builds the queues and
+ * endpoints and adds its message path and the cost of taking its kick.
+ */
+template <typename Queues, typename AgentTxn, typename KernelTxn>
+class TxnSchedTransport : public SchedTransport {
+  public:
+    sim::Task<std::optional<PendingDecision>>
+    HostPollDecision(int core, bool flush_first) override
+    {
+        auto txn = co_await For(core).kernel->PollTxns(flush_first);
+        if (!txn) co_return std::nullopt;
+        co_return PendingDecision{
+            txn->id, channel::FromBytes<GhostDecision>(txn->payload)};
+    }
+
+    sim::Task<>
+    HostPrefetchDecision(int core) override
+    {
+        return For(core).kernel->PrefetchTxns();
+    }
+
+    sim::Task<>
+    HostSendOutcome(int core, const api::TxnOutcome& outcome) override
+    {
+        return For(core).kernel->SetTxnsOutcomes({&outcome, 1});
+    }
+
+    CoreInterrupt&
+    InterruptFor(int core) override
+    {
+        return *For(core).interrupt;
+    }
+
+    api::TxnId
+    AgentStageDecision(const GhostDecision& d) override
+    {
+        return For(d.core).agent->TxnCreate(
+            channel::ToBytes(d, GhostWire::kDecisionPayload));
+    }
+
+    sim::Task<std::size_t>
+    AgentCommit(int core, bool kick) override
+    {
+        return For(core).agent->TxnsCommit(kick);
+    }
+
+    sim::Task<std::vector<api::TxnOutcome>>
+    AgentPollOutcomes(int core, std::size_t max) override
+    {
+        return For(core).agent->PollTxnsOutcomes(max);
+    }
+
+    sim::Task<> AgentKick(int core) override { return For(core).kick->Send(); }
+
+    int CoreCount() const override { return core_count_; }
+
+  protected:
+    /** One served core. */
+    struct Core {
+        Queues queues;
+        std::unique_ptr<pcie::MsiXVector> kick;
+        std::unique_ptr<AgentTxn> agent;
+        std::unique_ptr<KernelTxn> kernel;
+        std::unique_ptr<CoreInterrupt> interrupt;
+    };
+
+    /**
+     * Serves @p core with @p c. Its kick raises the core's interrupt
+     * line; the kernel loop pays the receive cost when it handles it.
+     */
+    void
+    Serve(sim::Simulator& sim, int core, std::unique_ptr<Core> c)
+    {
+        WAVE_ASSERT(core >= 0, "negative core id %d", core);
+        const auto index = static_cast<std::size_t>(core);
+        if (index >= percore_.size()) percore_.resize(index + 1);
+        WAVE_ASSERT(percore_[index] == nullptr, "core %d listed twice",
+                    core);
+        c->interrupt = std::make_unique<CoreInterrupt>(sim);
+        CoreInterrupt* line = c->interrupt.get();
+        c->kick->SetDeliveryHandler([line] { line->Raise(); });
+        percore_[index] = std::move(c);
+        ++core_count_;
+    }
+
+    /**
+     * Indexed by host core id; null for cores this transport skips.
+     * Index order is ascending core order.
+     */
+    std::vector<std::unique_ptr<Core>> percore_;
+
+  private:
+    Core&
+    For(int core)
+    {
+        const auto index = static_cast<std::size_t>(core);
+        WAVE_ASSERT(core >= 0 && index < percore_.size() &&
+                        percore_[index] != nullptr,
+                    "core %d is not served by this transport", core);
+        return *percore_[index];
+    }
+
+    int core_count_ = 0;  ///< cores served
+};
+
+/** Wave's per-core queues: both live in NIC DRAM and cross PCIe. */
+struct WaveCoreQueues {
+    NicToHostChannel decisions;
+    HostToNicChannel outcomes;
+};
+
 /** Wave/PCIe binding: the agent runs on the SmartNIC (§3.1). */
-class WaveSchedTransport : public SchedTransport {
+class WaveSchedTransport
+    : public TxnSchedTransport<WaveCoreQueues, NicTxnEndpoint,
+                               HostTxnEndpoint> {
   public:
     /**
      * @param runtime the machine's Wave runtime (queues, MSI-X, DRAM).
@@ -110,34 +231,11 @@ class WaveSchedTransport : public SchedTransport {
     WaveSchedTransport(WaveRuntime& runtime, const std::vector<int>& cores);
 
     sim::Task<> HostSendMessage(const GhostMessage& message) override;
-    sim::Task<std::optional<PendingDecision>> HostPollDecision(
-        int core, bool flush_first) override;
-    sim::Task<> HostPrefetchDecision(int core) override;
-    sim::Task<> HostSendOutcome(int core,
-                                const api::TxnOutcome& outcome) override;
-    CoreInterrupt& InterruptFor(int core) override;
     sim::DurationNs InterruptReceiveCost() const override;
     sim::Task<std::vector<GhostMessage>> AgentPollMessages(
         std::size_t max) override;
-    api::TxnId AgentStageDecision(const GhostDecision& d) override;
-    sim::Task<std::size_t> AgentCommit(int core, bool kick) override;
-    sim::Task<std::vector<api::TxnOutcome>> AgentPollOutcomes(
-        int core, std::size_t max) override;
-    sim::Task<> AgentKick(int core) override;
-    int CoreCount() const override { return core_count_; }
 
   private:
-    struct PerCore {
-        NicToHostChannel decisions;
-        HostToNicChannel outcomes;
-        std::unique_ptr<pcie::MsiXVector> msix;
-        std::unique_ptr<NicTxnEndpoint> nic_txn;
-        std::unique_ptr<HostTxnEndpoint> host_txn;
-        std::unique_ptr<CoreInterrupt> interrupt;
-    };
-
-    PerCore& For(int core);
-
     WaveRuntime& runtime_;
     HostToNicChannel messages_;
     /**
@@ -146,13 +244,18 @@ class WaveSchedTransport : public SchedTransport {
      * serializes them, like the kernel's per-queue spinlock.
      */
     sim::Resource send_lock_;
-    /** Indexed by host core id; null for cores this transport skips. */
-    std::vector<std::unique_ptr<PerCore>> percore_;
-    int core_count_ = 0;  ///< cores served
+};
+
+/** The on-host binding's per-core queues in coherent shared memory. */
+struct ShmCoreQueues {
+    std::unique_ptr<ShmQueue> decisions;
+    std::unique_ptr<ShmQueue> outcomes;
 };
 
 /** On-host binding: the agent runs on a dedicated host core. */
-class ShmSchedTransport : public SchedTransport {
+class ShmSchedTransport
+    : public TxnSchedTransport<ShmCoreQueues, ShmAgentTxnEndpoint,
+                               ShmKernelTxnEndpoint> {
   public:
     /** IPI costs modelled with the same latched-vector mechanism. */
     static pcie::PcieConfig IpiCosts();
@@ -164,7 +267,7 @@ class ShmSchedTransport : public SchedTransport {
 
     /**
      * Attaches the protocol/HB checkers to every queue and to the txn
-     * lifecycle. The Wave binding wires itself from its runtime; the
+     * endpoints. The Wave binding wires itself from its runtime; the
      * shm baseline has no runtime, so the enclave passes the checkers
      * in explicitly. Either argument may be null.
      */
@@ -172,44 +275,12 @@ class ShmSchedTransport : public SchedTransport {
                         check::ProtocolChecker* protocol);
 
     sim::Task<> HostSendMessage(const GhostMessage& message) override;
-    sim::Task<std::optional<PendingDecision>> HostPollDecision(
-        int core, bool flush_first) override;
-    sim::Task<> HostPrefetchDecision(int core) override;
-    sim::Task<> HostSendOutcome(int core,
-                                const api::TxnOutcome& outcome) override;
-    CoreInterrupt& InterruptFor(int core) override;
     sim::DurationNs InterruptReceiveCost() const override;
     sim::Task<std::vector<GhostMessage>> AgentPollMessages(
         std::size_t max) override;
-    api::TxnId AgentStageDecision(const GhostDecision& d) override;
-    sim::Task<std::size_t> AgentCommit(int core, bool kick) override;
-    sim::Task<std::vector<api::TxnOutcome>> AgentPollOutcomes(
-        int core, std::size_t max) override;
-    sim::Task<> AgentKick(int core) override;
-    int CoreCount() const override { return core_count_; }
 
   private:
-    struct PerCore {
-        std::unique_ptr<ShmQueue> decisions;
-        std::unique_ptr<ShmQueue> outcomes;
-        std::unique_ptr<pcie::MsiXVector> ipi;
-        std::unique_ptr<CoreInterrupt> interrupt;
-        std::vector<api::Bytes> staged;
-    };
-
-    PerCore& For(int core);
-
-    sim::Simulator& sim_;
     ShmQueue messages_;
-    /**
-     * Indexed by host core id; null for cores this transport skips.
-     * Index order is ascending core order, the order in which
-     * AttachCheckers registers each core's actors.
-     */
-    std::vector<std::unique_ptr<PerCore>> percore_;
-    int core_count_ = 0;  ///< cores served
-    api::TxnId next_txn_id_ = 1;
-    check::ProtocolChecker* protocol_ = nullptr;
 };
 
 }  // namespace wave::ghost

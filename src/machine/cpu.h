@@ -118,9 +118,6 @@ class Cpu {
         return Occupancy{busy_ns_, work_segments_};
     }
 
-    /** True while a Work() call is in flight. */
-    bool Busy() const { return busy_; }
-
     ClockDomain& Domain() { return *domain_; }
     sim::Simulator& Sim() { return sim_; }
 

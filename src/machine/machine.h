@@ -83,8 +83,6 @@ class Machine {
     ClockDomain& HostDomain() { return host_domain_; }
     ClockDomain& NicDomain() { return nic_domain_; }
 
-    const MachineConfig& Config() const { return config_; }
-
   private:
     MachineConfig config_;
     ClockDomain host_domain_;

@@ -55,8 +55,6 @@ class TurboModel {
     FreqGhz Frequency(int active_physical_cores,
                       bool idle_cores_deep) const;
 
-    const Config& GetConfig() const { return config_; }
-
   private:
     static double Interpolate(const Curve& curve, int active);
 

@@ -127,8 +127,6 @@ class AclTable {
 
     Verdict Lookup(const FiveTuple& t) const;
 
-    std::size_t NumRules() const { return rules_.size(); }
-
   private:
     std::vector<AclRule> rules_;
     bool default_allow_;
@@ -183,8 +181,6 @@ class SignatureScanner {
     /** Total pattern occurrences in the buffer (overlaps counted). */
     std::uint32_t Scan(const std::uint8_t* data, std::size_t len) const;
 
-    std::size_t NumStates() const { return next_.size() / 256; }
-
   private:
     // Flattened goto table: next_[state * 256 + byte], plus the number
     // of pattern ends reachable from each state via suffix links.
@@ -208,7 +204,6 @@ class CountMinSketch {
 
     std::uint64_t TotalAdded() const { return total_; }
     std::size_t Width() const { return mask_ + 1; }
-    std::size_t Depth() const { return depth_; }
 
   private:
     std::size_t RowIndex(std::size_t row, std::uint64_t key) const;
@@ -233,8 +228,6 @@ class HyperLogLog {
 
     /** Estimated distinct count, with small-range linear counting. */
     double Estimate() const;
-
-    std::size_t NumRegisters() const { return registers_.size(); }
 
   private:
     std::vector<std::uint8_t> registers_;

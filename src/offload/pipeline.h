@@ -115,7 +115,6 @@ class OffloadPipeline {
                                         stats_.denied);
     }
 
-    std::size_t NumWorkers() const { return workers_.size(); }
     std::size_t NumSegments() const { return segments_.size(); }
 
   private:

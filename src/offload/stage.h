@@ -102,15 +102,12 @@ class StageChain {
     }
 
     std::size_t NumStages() const { return order_.size(); }
-    StageKind KindAt(std::size_t i) const { return order_[i]; }
 
     const StageStats& Stats(StageKind kind) const
     {
         return stats_[static_cast<std::size_t>(kind)];
     }
 
-    const CountMinSketch& FlowSketch() const { return cms_; }
-    const HyperLogLog& FlowCardinality() const { return hll_; }
     std::size_t ConnectionCount() const { return connections_.size(); }
 
   private:

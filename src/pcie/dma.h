@@ -112,7 +112,6 @@ class DmaEngine {
      * 10-20% of effective bandwidth (§5.1). Default is local.
      */
     void SetNumaLocal(bool local) { numa_local_ = local; }
-    bool NumaLocal() const { return numa_local_; }
 
     /** Pure transfer duration for @p n bytes (setup + wire time). */
     sim::DurationNs

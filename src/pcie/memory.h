@@ -55,8 +55,6 @@ class MemoryRegion {
         std::memcpy(data_.data() + offset, src, n);
     }
 
-    const std::byte* Data() const { return data_.data(); }
-
   private:
     void
     CheckRange(std::size_t offset, std::size_t n) const

@@ -167,7 +167,6 @@ class HostMmioMapping {
     /** Software coherence: drops cached copies of the covered lines. */
     sim::Task<> Clflush(std::size_t offset, std::size_t n);
 
-    PteType Type() const { return type_; }
     const MmioStats& Stats() const { return stats_; }
 
   private:
@@ -351,8 +350,6 @@ class NicLocalMapping {
     {
         return WriteOp{*this, offset, src, n};
     }
-
-    PteType Type() const { return type_; }
 
   private:
     /** Resumes @p h once an access of @p n bytes has taken its cost. */

@@ -20,7 +20,6 @@ MsiXVector::Send(SendPath path)
         // Lost in flight: the sender still pays the register write, but
         // the pending bit never latches at the host. Recovery is the
         // receiver's problem (polling, watchdog).
-        ++drops_;
         co_await sim_.Delay(send_cost);
         co_return;
     }

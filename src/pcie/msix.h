@@ -71,7 +71,6 @@ class MsiXVector {
 
     /** Masks the vector: sends latch the pending bit but do not wake. */
     void SetMasked(bool masked) { masked_ = masked; }
-    bool Masked() const { return masked_; }
 
     /**
      * Registers a callback invoked at delivery time (when the vector
@@ -85,7 +84,6 @@ class MsiXVector {
     }
 
     std::uint64_t SendCount() const { return sends_; }
-    std::uint64_t DroppedCount() const { return drops_; }
 
     /**
      * Attaches the fault injector; sends then consult it for extra
@@ -133,7 +131,6 @@ class MsiXVector {
     bool pending_ = false;
     bool masked_ = false;
     std::uint64_t sends_ = 0;
-    std::uint64_t drops_ = 0;
 };
 
 }  // namespace wave::pcie

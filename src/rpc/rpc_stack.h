@@ -60,7 +60,6 @@ class RpcStack {
     void ProcessResponse(workload::Request request,
                          std::function<void(workload::Request)> sent);
 
-    std::uint64_t Processed() const { return pool_.Completed(); }
     std::size_t QueueDepth() const { return pool_.QueueDepth(); }
 
   private:

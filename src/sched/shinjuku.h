@@ -55,8 +55,6 @@ class ShinjukuPolicy : public FifoPolicy {
         return ran_for > slice_ns_ && !run_queue_.empty();
     }
 
-    sim::DurationNs SliceNs() const { return slice_ns_; }
-
   private:
     sim::DurationNs slice_ns_;
 };

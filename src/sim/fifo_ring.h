@@ -50,7 +50,6 @@ class FifoRing {
 
     bool Empty() const { return head_ == tail_; }
     std::size_t Size() const { return static_cast<std::size_t>(tail_ - head_); }
-    std::size_t Capacity() const { return slots_.size(); }
 
     void
     PushBack(T item)
@@ -60,20 +59,6 @@ class FifoRing {
         }
         slots_[tail_ & mask_] = std::move(item);
         ++tail_;
-    }
-
-    T&
-    Front()
-    {
-        WAVE_ASSERT(!Empty(), "Front() on empty FifoRing");
-        return slots_[head_ & mask_];
-    }
-
-    const T&
-    Front() const
-    {
-        WAVE_ASSERT(!Empty(), "Front() on empty FifoRing");
-        return slots_[head_ & mask_];
     }
 
     T

@@ -64,13 +64,4 @@ Warn(const char* fmt, ...)
     va_end(args);
 }
 
-void
-Inform(const char* fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    VReport("info", fmt, args);
-    va_end(args);
-}
-
 }  // namespace wave::sim

@@ -4,7 +4,7 @@
  *
  * Panic() is for internal invariant violations (simulator bugs): it prints
  * and aborts. Fatal() is for user/configuration errors: it prints and exits
- * with status 1. Warn()/Inform() report conditions without stopping.
+ * with status 1. Warn() reports a condition without stopping.
  */
 // wave-domain: neutral
 #pragma once
@@ -24,9 +24,6 @@ namespace wave::sim {
 
 /** Prints a warning to stderr; execution continues. */
 void Warn(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Prints an informational message to stderr; execution continues. */
-void Inform(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Implementation detail of WAVE_ASSERT; prints and aborts. */
 [[noreturn]] void AssertFail(const char* condition, const char* file,

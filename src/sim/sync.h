@@ -202,9 +202,6 @@ class Resource {
         signal_.NotifyOne();
     }
 
-    std::size_t InUse() const { return in_use_; }
-    std::size_t Capacity() const { return capacity_; }
-
   private:
     Signal signal_;
     std::size_t capacity_;

@@ -141,9 +141,6 @@ class [[nodiscard]] Task {
     Task& operator=(const Task&) = delete;
     ~Task() { Destroy(); }
 
-    /** True if this task refers to a live coroutine frame. */
-    bool Valid() const { return handle_ != nullptr; }
-
     /** True once the coroutine has run to completion. */
     bool Done() const { return handle_ && handle_.done(); }
 
@@ -235,7 +232,6 @@ class [[nodiscard]] Task<void> {
     Task& operator=(const Task&) = delete;
     ~Task() { Destroy(); }
 
-    bool Valid() const { return handle_ != nullptr; }
     bool Done() const { return handle_ && handle_.done(); }
 
     std::coroutine_handle<promise_type>

@@ -21,7 +21,6 @@ SolPolicy::ScanBatch(std::size_t batch, std::uint64_t accessed_pages,
     WAVE_ASSERT(batch < batches_.size());
     BatchState& state = batches_[batch];
     if (state.next_scan > now) return false;
-    ++scans_;
 
     // Fractional evidence: the share of the batch's pages touched since
     // the last scan. A hot 256 KiB batch has most of its pages accessed

@@ -128,13 +128,10 @@ class SolPolicy : public memmgr::MemPolicy {
         return config_.merge_compute_per_batch_ns;
     }
 
-    std::uint64_t ScansPerformed() const { return scans_; }
-
   private:
     SolConfig config_;
     std::vector<BatchState> batches_;
     sim::Rng rng_;
-    std::uint64_t scans_ = 0;
 };
 
 }  // namespace wave::sol

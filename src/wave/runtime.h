@@ -152,7 +152,6 @@ class WaveRuntime {
     /** True while the agent's Run() has not returned. */
     bool AgentAlive(AgentId id) const;
 
-    const api::OptimizationConfig& Opt() const { return opt_; }
     pcie::NicDram& Dram() { return *dram_; }
     pcie::DmaEngine& Dma() { return *dma_; }
 

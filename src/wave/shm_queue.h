@@ -40,12 +40,20 @@ struct ShmCosts {
     sim::DurationNs empty_poll_ns = 25;
 };
 
-/** Bounded SPSC queue over coherent host shared memory. */
+/**
+ * Bounded SPSC queue over coherent host shared memory.
+ *
+ * A poll has two phases, as on NicConsumer: Ready() tests for a queued
+ * entry, paying the empty-flag miss only when there is none, and Take()
+ * reads the entry across the LLC. Poll() is built from the two.
+ */
 class ShmQueue {
   public:
+    /** @param payload_size bytes in every entry. */
     ShmQueue(sim::Simulator& sim, std::size_t capacity,
-             ShmCosts costs = {})
-        : sim_(sim), capacity_(capacity), costs_(costs), items_(capacity)
+             std::size_t payload_size, ShmCosts costs = {})
+        : sim_(sim), capacity_(capacity), payload_size_(payload_size),
+          costs_(costs), items_(capacity)
     {
     }
 
@@ -56,6 +64,9 @@ class ShmQueue {
     {
         std::size_t sent = 0;
         for (const auto& message : messages) {
+            WAVE_ASSERT(message.size() == payload_size_,
+                        "message size %zu != payload size %zu",
+                        message.size(), payload_size_);
             if (items_.Size() >= capacity_) break;
             co_await sim_.Delay(costs_.write_entry_ns);
             WAVE_CHECK_HOOK({
@@ -87,16 +98,41 @@ class ShmQueue {
         co_return sent;
     }
 
-    /** Dequeues the next entry if present. */
-    sim::Task<std::optional<std::vector<std::byte>>>
-    Poll()
-    {
-        if (items_.Empty()) {
-            co_await sim_.Delay(costs_.empty_poll_ns);
-            co_return std::nullopt;
+    /** Awaiter of Ready(): yields true when an entry is queued. */
+    struct [[nodiscard]] ReadyOp {
+        ShmQueue& queue;
+        bool ready = false;
+
+        bool
+        await_ready()
+        {
+            ready = !queue.items_.Empty();
+            return ready;
         }
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            queue.sim_.Delay(queue.costs_.empty_poll_ns).await_suspend(h);
+        }
+
+        bool await_resume() const { return ready; }
+    };
+
+    /**
+     * Tests for a queued entry: free when there is one, one empty-flag
+     * miss when there is none. Bind the result to a local before
+     * testing it (see sim/task.h).
+     */
+    ReadyOp Ready() { return ReadyOp{*this}; }
+
+    /** Dequeues the entry Ready() found into @p out. */
+    // wave-lifetime(caller-awaits)
+    sim::Task<>
+    Take(std::vector<std::byte>& out)
+    {
         co_await sim_.Delay(costs_.read_entry_ns);
-        auto out = items_.PopFront();
+        out = items_.PopFront();
         WAVE_CHECK_HOOK({
             if (checker_ != nullptr) {
                 checker_->OnShmAccess(out.size());
@@ -118,8 +154,28 @@ class ShmQueue {
             }
         });
         ++received_;
+    }
+
+    /** Dequeues the next entry if present. */
+    sim::Task<std::optional<std::vector<std::byte>>>
+    Poll()
+    {
+        const bool ready = co_await Ready();
+        if (!ready) co_return std::nullopt;
+        std::vector<std::byte> out;
+        co_await Take(out);
         co_return out;
     }
+
+    /**
+     * No-op: hardware prefetchers already serve coherent memory, so the
+     * explicit PCIe prefetch (HostConsumer::PrefetchNext) has no
+     * analogue here.
+     */
+    sim::Task<> PrefetchNext() { co_return; }
+
+    /** Bytes in every entry. */
+    std::size_t QueuePayloadSize() const { return payload_size_; }
 
     std::size_t Size() const { return items_.Size(); }
 
@@ -174,6 +230,7 @@ class ShmQueue {
 
     sim::Simulator& sim_;
     std::size_t capacity_;
+    std::size_t payload_size_;
     ShmCosts costs_;
     sim::FifoRing<std::vector<std::byte>> items_;
     std::uint64_t sent_ = 0;      ///< absolute seqnum of next enqueue

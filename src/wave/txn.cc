@@ -1,6 +1,8 @@
 // wave-domain: pcie
 #include "wave/txn.h"
 
+#include <cstring>
+
 #include "check/coherence.h"
 #include "check/hooks.h"
 #include "check/protocol.h"
@@ -9,6 +11,86 @@
 namespace wave {
 
 namespace {
+
+/**
+ * What the endpoints need from one queue-endpoint type beyond the calls
+ * both kinds share: the protocol scope (the storage both ends of a
+ * channel resolve to), how a batch is published or one slot polled,
+ * the coherence checker that sees txn-commit ordering points, and the
+ * checker's site labels, named after the endpoint aliases.
+ */
+template <typename Q>
+struct QueueOps;
+
+template <>
+struct QueueOps<channel::NicProducer> {
+    static constexpr check::Domain kDomain = check::Domain::kNic;
+    static constexpr const char* kCreate = "NicTxnEndpoint::TxnCreate";
+    static constexpr const char* kCommit = "NicTxnEndpoint::TxnsCommit";
+    static constexpr const char* kDup = "NicTxnEndpoint::TxnsCommit[dup]";
+    static constexpr const char* kObserved =
+        "NicTxnEndpoint::PollTxnsOutcomes";
+
+    static const void* Scope(channel::NicProducer& q) { return &q.Queue(); }
+
+    static sim::Task<std::size_t>
+    Publish(channel::NicProducer& q, const std::vector<api::Bytes>& batch)
+    {
+        return q.SendBatch(batch);
+    }
+
+    static check::CoherenceChecker*
+    Coherence(channel::NicProducer& q)
+    {
+        return q.Queue().Dram().Checker();
+    }
+};
+
+template <>
+struct QueueOps<channel::HostConsumer> {
+    static constexpr const char* kDelivered = "HostTxnEndpoint::PollTxns";
+    static constexpr const char* kOutcome =
+        "HostTxnEndpoint::SetTxnsOutcomes";
+
+    static const void* Scope(channel::HostConsumer& q) { return &q.Queue(); }
+
+    static sim::Task<std::optional<api::Bytes>>
+    Poll(channel::HostConsumer& q, bool flush_first)
+    {
+        return q.Poll(flush_first);
+    }
+};
+
+/** Both ends of the on-host binding's queues run on host cores. */
+template <>
+struct QueueOps<ShmQueue> {
+    static constexpr check::Domain kDomain = check::Domain::kHost;
+    static constexpr const char* kCreate = "ShmAgentTxnEndpoint::TxnCreate";
+    static constexpr const char* kCommit = "ShmAgentTxnEndpoint::TxnsCommit";
+    static constexpr const char* kDup = "ShmAgentTxnEndpoint::TxnsCommit[dup]";
+    static constexpr const char* kObserved =
+        "ShmAgentTxnEndpoint::PollTxnsOutcomes";
+    static constexpr const char* kDelivered = "ShmKernelTxnEndpoint::PollTxns";
+    static constexpr const char* kOutcome =
+        "ShmKernelTxnEndpoint::SetTxnsOutcomes";
+
+    static const void* Scope(ShmQueue& q) { return &q; }
+
+    static sim::Task<std::size_t>
+    Publish(ShmQueue& q, const std::vector<api::Bytes>& batch)
+    {
+        return q.Send(batch);
+    }
+
+    static sim::Task<std::optional<api::Bytes>>
+    Poll(ShmQueue& q, bool /*flush_first*/)
+    {
+        return q.Poll();
+    }
+
+    /** Coherent memory has no ordering points; its traffic is counted. */
+    static check::CoherenceChecker* Coherence(ShmQueue&) { return nullptr; }
+};
 
 api::Bytes
 FrameDecision(api::TxnId id, const api::Bytes& payload,
@@ -27,15 +109,9 @@ FrameDecision(api::TxnId id, const api::Bytes& payload,
 
 }  // namespace
 
-NicTxnEndpoint::NicTxnEndpoint(channel::NicProducer& decisions,
-                               channel::NicConsumer& outcomes,
-                               pcie::MsiXVector* msix)
-    : decisions_(decisions), outcomes_(outcomes), msix_(msix)
-{
-}
-
+template <typename D, typename O>
 api::TxnId
-NicTxnEndpoint::TxnCreate(api::Bytes payload)
+AgentTxnEndpoint<D, O>::TxnCreate(api::Bytes payload)
 {
     const api::TxnId id = next_id_++;
     // Frame now so TxnsCommit is a pure queue push. The queue's payload
@@ -45,28 +121,28 @@ NicTxnEndpoint::TxnCreate(api::Bytes payload)
     staged_ids_.push_back(id);
     WAVE_CHECK_HOOK({
         if (protocol_ != nullptr) {
-            protocol_->OnTxnCreated(&decisions_.Queue(), id,
-                                    check::Domain::kNic,
-                                    "NicTxnEndpoint::TxnCreate");
+            protocol_->OnTxnCreated(QueueOps<D>::Scope(decisions_), id,
+                                    QueueOps<D>::kDomain,
+                                    QueueOps<D>::kCreate);
         }
     });
     return id;
 }
 
 // wave-lifetime(caller-awaits)
+template <typename D, typename O>
 sim::Task<std::size_t>
-NicTxnEndpoint::TxnsCommit(bool send_msix)
+AgentTxnEndpoint<D, O>::TxnsCommit(bool send_msix)
 {
-    const std::size_t sent = co_await decisions_.SendBatch(staged_);
+    using Ops = QueueOps<D>;
+    const std::size_t sent = co_await Ops::Publish(decisions_, staged_);
     // Injected double-commit bug: capture the first record just sent so
     // it can be re-published below under the same transaction id.
-    api::Bytes dup_record;
+    std::vector<api::Bytes> dup_batch;
     api::TxnId dup_id = 0;
-    bool dup = false;
     if (injector_ != nullptr && sent > 0 &&
         injector_->ShouldDoubleCommit()) {
-        dup = true;
-        dup_record = staged_.front();
+        dup_batch.push_back(staged_.front());
         dup_id = staged_ids_.front();
     }
     staged_.erase(staged_.begin(),
@@ -74,10 +150,9 @@ NicTxnEndpoint::TxnsCommit(bool send_msix)
     WAVE_CHECK_HOOK({
         if (protocol_ != nullptr) {
             for (std::size_t i = 0; i < sent; ++i) {
-                protocol_->OnTxnPublished(&decisions_.Queue(),
-                                          staged_ids_[i],
-                                          check::Domain::kNic,
-                                          "NicTxnEndpoint::TxnsCommit");
+                protocol_->OnTxnPublished(Ops::Scope(decisions_),
+                                          staged_ids_[i], Ops::kDomain,
+                                          Ops::kCommit);
             }
         }
     });
@@ -85,24 +160,25 @@ NicTxnEndpoint::TxnsCommit(bool send_msix)
                       staged_ids_.begin() +
                           static_cast<std::ptrdiff_t>(sent));
     WAVE_CHECK_HOOK({
-        if (auto* checker = decisions_.Queue().Dram().Checker();
+        if (auto* checker = Ops::Coherence(decisions_);
             checker != nullptr && sent > 0) {
             checker->OnOrderingPoint("txn-commit");
         }
     });
-    if (dup) {
+    if (!dup_batch.empty()) {
         // The bug on the wire: the same transaction id enters the
         // decision queue twice. The host will deliver, commit, and
         // report it twice — the protocol checker must flag every step.
-        const bool resent = co_await decisions_.Send(dup_record);
+        const bool resent =
+            co_await Ops::Publish(decisions_, dup_batch) == 1;
         WAVE_CHECK_HOOK({
             if (resent && protocol_ != nullptr) {
-                protocol_->OnTxnPublished(&decisions_.Queue(), dup_id,
-                                          check::Domain::kNic,
-                                          "NicTxnEndpoint::TxnsCommit[dup]");
+                protocol_->OnTxnPublished(Ops::Scope(decisions_), dup_id,
+                                          Ops::kDomain, Ops::kDup);
             }
         });
         (void)resent;
+        (void)dup_id;
     }
     if (send_msix && sent > 0) {
         WAVE_ASSERT(msix_ != nullptr,
@@ -113,8 +189,9 @@ NicTxnEndpoint::TxnsCommit(bool send_msix)
 }
 
 // wave-lifetime(caller-awaits)
+template <typename D, typename O>
 sim::Task<std::vector<api::TxnOutcome>>
-NicTxnEndpoint::PollTxnsOutcomes(std::size_t max)
+AgentTxnEndpoint<D, O>::PollTxnsOutcomes(std::size_t max)
 {
     std::vector<api::TxnOutcome> out;
     while (out.size() < max) {
@@ -129,9 +206,8 @@ NicTxnEndpoint::PollTxnsOutcomes(std::size_t max)
         WAVE_CHECK_HOOK({
             if (protocol_ != nullptr) {
                 protocol_->OnTxnOutcomeObserved(
-                    &decisions_.Queue(), outcome.txn_id,
-                    check::Domain::kNic,
-                    "NicTxnEndpoint::PollTxnsOutcomes");
+                    QueueOps<D>::Scope(decisions_), outcome.txn_id,
+                    QueueOps<D>::kDomain, QueueOps<D>::kObserved);
             }
         });
         out.push_back(outcome);
@@ -139,88 +215,81 @@ NicTxnEndpoint::PollTxnsOutcomes(std::size_t max)
     co_return out;
 }
 
-HostTxnEndpoint::HostTxnEndpoint(channel::HostConsumer& decisions,
-                                 channel::HostProducer& outcomes,
-                                 pcie::MsiXVector* msix)
-    : decisions_(decisions), outcomes_(outcomes), msix_(msix)
-{
-}
-
 // wave-lifetime(caller-awaits)
+template <typename D, typename O>
 sim::Task<std::optional<HostTxn>>
-HostTxnEndpoint::PollTxns(bool flush_first)
+KernelTxnEndpoint<D, O>::PollTxns(bool flush_first)
 {
-    auto slot = co_await decisions_.Poll(flush_first);
+    auto slot = co_await QueueOps<D>::Poll(decisions_, flush_first);
     if (!slot) co_return std::nullopt;
     HostTxn txn;
     std::memcpy(&txn.id, slot->data(), sizeof(txn.id));
-    txn.payload.assign(slot->begin() + TxnWire::kHeaderSize, slot->end());
+    // The slot becomes the payload: drop the header in place instead of
+    // copying the rest out.
+    slot->erase(slot->begin(), slot->begin() + TxnWire::kHeaderSize);
+    txn.payload = std::move(*slot);
     WAVE_CHECK_HOOK({
         if (protocol_ != nullptr) {
-            protocol_->OnTxnDelivered(&decisions_.Queue(), txn.id,
-                                      check::Domain::kHost,
-                                      "HostTxnEndpoint::PollTxns");
+            protocol_->OnTxnDelivered(QueueOps<D>::Scope(decisions_),
+                                      txn.id, check::Domain::kHost,
+                                      QueueOps<D>::kDelivered);
         }
     });
     co_return txn;
 }
 
 // wave-lifetime(caller-awaits)
+template <typename D, typename O>
 sim::Task<>
-HostTxnEndpoint::PrefetchTxns()
+KernelTxnEndpoint<D, O>::SetTxnsOutcomes(
+    std::span<const api::TxnOutcome> outs)
 {
-    return decisions_.PrefetchNext();
-}
-
-// wave-lifetime(caller-awaits)
-sim::Task<>
-HostTxnEndpoint::FlushTxns()
-{
-    return decisions_.FlushNext();
-}
-
-// wave-lifetime(caller-awaits)
-sim::Task<>
-HostTxnEndpoint::SetTxnsOutcomes(const std::vector<api::TxnOutcome>& outs)
-{
-    std::vector<api::Bytes> records;
-    records.reserve(outs.size());
     WAVE_CHECK_HOOK({
         if (protocol_ != nullptr) {
             for (const api::TxnOutcome& outcome : outs) {
-                protocol_->OnTxnOutcome(&decisions_.Queue(),
+                protocol_->OnTxnOutcome(QueueOps<D>::Scope(decisions_),
                                         outcome.txn_id,
                                         check::Domain::kHost,
-                                        "HostTxnEndpoint::SetTxnsOutcomes");
+                                        QueueOps<D>::kOutcome);
             }
         }
     });
-    for (const api::TxnOutcome& outcome : outs) {
-        api::Bytes record(outcomes_.QueuePayloadSize());
-        std::memcpy(record.data(), &outcome.txn_id,
-                    sizeof(outcome.txn_id));
-        std::memcpy(record.data() + sizeof(api::TxnId), &outcome.status,
-                    sizeof(outcome.status));
-        records.push_back(std::move(record));
+    // The record buffers keep their capacity from one call to the next,
+    // so steady-state reporting does not allocate.
+    records_.resize(outs.size());
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+        api::Bytes& record = records_[i];
+        record.assign(outcomes_.QueuePayloadSize(), std::byte{0});
+        std::memcpy(record.data(), &outs[i].txn_id,
+                    sizeof(outs[i].txn_id));
+        std::memcpy(record.data() + sizeof(api::TxnId), &outs[i].status,
+                    sizeof(outs[i].status));
     }
-    const std::size_t sent = co_await outcomes_.Send(records);
-    WAVE_ASSERT(sent == records.size(),
+    const std::size_t sent = co_await outcomes_.Send(records_);
+    WAVE_ASSERT(sent == records_.size(),
                 "outcome queue overflow: agent is not draining outcomes");
 }
 
 // wave-lifetime(caller-awaits)
+template <typename D, typename O>
 sim::Task<>
-HostTxnEndpoint::WaitForKick()
+KernelTxnEndpoint<D, O>::WaitForKick()
 {
     WAVE_ASSERT(msix_ != nullptr);
     return msix_->WaitAndReceive();
 }
 
+template <typename D, typename O>
 bool
-HostTxnEndpoint::ConsumeKick()
+KernelTxnEndpoint<D, O>::ConsumeKick()
 {
     WAVE_ASSERT(msix_ != nullptr);
     return msix_->ConsumePending();
 }
+
+template class AgentTxnEndpoint<channel::NicProducer, channel::NicConsumer>;
+template class KernelTxnEndpoint<channel::HostConsumer, channel::HostProducer>;
+template class AgentTxnEndpoint<ShmQueue, ShmQueue>;
+template class KernelTxnEndpoint<ShmQueue, ShmQueue>;
 
 }  // namespace wave

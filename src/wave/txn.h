@@ -12,19 +12,25 @@
  * The atomic-commit guarantee itself lives with the kernel subsystem
  * (e.g. ghost::KernelSched checks that the scheduled thread is still
  * runnable); Wave transports the decision and its outcome.
+ *
+ * The endpoints are generic over the queue endpoints they drive, so
+ * both deployments run this one implementation of the protocol: Wave's
+ * MMIO queues across PCIe and the on-host baseline's coherent
+ * shared-memory queues (ghost/transport.h).
  */
 // wave-domain: pcie
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "channel/mmio_queue.h"
 #include "pcie/msix.h"
 #include "sim/task.h"
 #include "wave/api.h"
+#include "wave/shm_queue.h"
 
 namespace wave::check {
 class ProtocolChecker;
@@ -54,18 +60,23 @@ struct TxnWire {
     }
 };
 
-/** Agent-side transaction endpoint over a NIC->host decision queue. */
-class NicTxnEndpoint {
+/**
+ * Agent-side transaction endpoint over decision-queue producer @p D and
+ * outcome-queue consumer @p O (NicTxnEndpoint, ShmAgentTxnEndpoint).
+ */
+template <typename D, typename O>
+class AgentTxnEndpoint {
   public:
     /**
-     * @param decisions NIC producer of the decision queue.
-     * @param outcomes NIC consumer of the outcome queue.
+     * @param decisions producer of the decision queue.
+     * @param outcomes consumer of the outcome queue.
      * @param msix optional vector to kick the host core; may be null
      *        for polled queues (the RPC stack skips the MSI-X, §4.3).
      */
-    NicTxnEndpoint(channel::NicProducer& decisions,
-                   channel::NicConsumer& outcomes,
-                   pcie::MsiXVector* msix);
+    AgentTxnEndpoint(D& decisions, O& outcomes, pcie::MsiXVector* msix)
+        : decisions_(decisions), outcomes_(outcomes), msix_(msix)
+    {
+    }
 
     /** Stages a decision locally; returns its transaction id. */
     api::TxnId TxnCreate(api::Bytes payload);
@@ -105,8 +116,8 @@ class NicTxnEndpoint {
     }
 
   private:
-    channel::NicProducer& decisions_;
-    channel::NicConsumer& outcomes_;
+    D& decisions_;
+    O& outcomes_;
     pcie::MsiXVector* msix_;
     api::TxnId next_id_ = 1;
     std::vector<api::Bytes> staged_;  ///< already framed with txn ids
@@ -116,30 +127,34 @@ class NicTxnEndpoint {
     sim::inject::FaultInjector* injector_ = nullptr;
 };
 
-/** Host-side transaction endpoint. */
-class HostTxnEndpoint {
+/**
+ * Host-side transaction endpoint over decision-queue consumer @p D and
+ * outcome-queue producer @p O (HostTxnEndpoint, ShmKernelTxnEndpoint).
+ * One host context drives each endpoint.
+ */
+template <typename D, typename O>
+class KernelTxnEndpoint {
   public:
-    HostTxnEndpoint(channel::HostConsumer& decisions,
-                    channel::HostProducer& outcomes,
-                    pcie::MsiXVector* msix);
+    KernelTxnEndpoint(D& decisions, O& outcomes, pcie::MsiXVector* msix)
+        : decisions_(decisions), outcomes_(outcomes), msix_(msix)
+    {
+    }
 
     /**
      * Next pending transaction, if any.
      *
      * @param flush_first run the software-coherence flush before the
      *        read (required when new data may have arrived unprompted;
-     *        unnecessary right after a prefetched hit).
+     *        unnecessary right after a prefetched hit). Coherent shared
+     *        memory ignores it.
      */
     sim::Task<std::optional<HostTxn>> PollTxns(bool flush_first);
 
     /** Prefetches the next decision slot (PREFETCH_TXNS, §5.4). */
-    sim::Task<> PrefetchTxns();
-
-    /** Flushes the next decision slot (software coherence on MSI-X). */
-    sim::Task<> FlushTxns();
+    sim::Task<> PrefetchTxns() { return decisions_.PrefetchNext(); }
 
     /** Reports commit outcomes back to the agent. */
-    sim::Task<> SetTxnsOutcomes(const std::vector<api::TxnOutcome>& outs);
+    sim::Task<> SetTxnsOutcomes(std::span<const api::TxnOutcome> outs);
 
     /** Suspends until the agent's MSI-X arrives (requires a vector). */
     sim::Task<> WaitForKick();
@@ -147,17 +162,30 @@ class HostTxnEndpoint {
     /** Consumes a pending kick without blocking. */
     bool ConsumeKick();
 
-    /** Attaches the protocol verifier (see NicTxnEndpoint). */
+    /** Attaches the protocol verifier (see AgentTxnEndpoint). */
     void AttachProtocol(check::ProtocolChecker* protocol)
     {
         protocol_ = protocol;
     }
 
   private:
-    channel::HostConsumer& decisions_;
-    channel::HostProducer& outcomes_;
+    D& decisions_;
+    O& outcomes_;
     pcie::MsiXVector* msix_;
+    std::vector<api::Bytes> records_;  ///< outcome records, reused
     check::ProtocolChecker* protocol_ = nullptr;
 };
+
+/**
+ * The instantiations, all in txn.cc: Wave's endpoints, whose queues
+ * cross PCIe in NIC DRAM, and the on-host baseline's over coherent
+ * shared memory.
+ */
+using NicTxnEndpoint =
+    AgentTxnEndpoint<channel::NicProducer, channel::NicConsumer>;
+using HostTxnEndpoint =
+    KernelTxnEndpoint<channel::HostConsumer, channel::HostProducer>;
+using ShmAgentTxnEndpoint = AgentTxnEndpoint<ShmQueue, ShmQueue>;
+using ShmKernelTxnEndpoint = KernelTxnEndpoint<ShmQueue, ShmQueue>;
 
 }  // namespace wave

@@ -117,8 +117,6 @@ class KvWorkerBody : public ghost::ThreadBody {
 
     sim::Task<ghost::RunStop> Run(ghost::RunContext& ctx) override;
 
-    bool HasRequest() const { return assigned_.has_value(); }
-
   private:
     friend class KvService;
 

@@ -52,7 +52,6 @@ RunSchedExperiment(const SchedExperimentConfig& cfg)
     const auto& get_hist = service.Latency(RequestKind::kGet);
     result.get_p50 = get_hist.Percentile(0.50);
     result.get_p99 = get_hist.Percentile(0.99);
-    result.get_p999 = get_hist.Percentile(0.999);
     result.range_p99 =
         service.Latency(RequestKind::kRange).Percentile(0.99);
     result.ctx_switch_p50 = ks.ctx_switch_overhead.Percentile(0.50);
@@ -61,9 +60,6 @@ RunSchedExperiment(const SchedExperimentConfig& cfg)
     result.idle_waits = ks.idle_waits;
     result.preemptions = ks.preemptions;
     result.agent_decisions = as.decisions;
-    result.agent_prestages = as.prestages;
-    result.agent_kicks = as.kicks;
-    result.messages_sent = ks.messages_sent;
     result.event_hash = bed.Sim().EventHash();
     return result;
 }

@@ -82,7 +82,6 @@ struct SchedExperimentResult {
     std::uint64_t completed = 0;
     sim::DurationNs get_p50 = 0;
     sim::DurationNs get_p99 = 0;
-    sim::DurationNs get_p999 = 0;
     sim::DurationNs range_p99 = 0;
     sim::DurationNs ctx_switch_p50 = 0;
     std::uint64_t commits_failed = 0;
@@ -90,9 +89,6 @@ struct SchedExperimentResult {
     std::uint64_t idle_waits = 0;
     std::uint64_t preemptions = 0;
     std::uint64_t agent_decisions = 0;
-    std::uint64_t agent_prestages = 0;
-    std::uint64_t agent_kicks = 0;
-    std::uint64_t messages_sent = 0;
     /** Simulator event-stream fingerprint (determinism auditing). */
     std::uint64_t event_hash = 0;
 };

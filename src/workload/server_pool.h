@@ -50,12 +50,9 @@ class ServerPool {
     void
     Submit(PoolJob job)
     {
-        ++submitted_;
         jobs_.Push(std::move(job));
     }
 
-    std::uint64_t Submitted() const { return submitted_; }
-    std::uint64_t Completed() const { return completed_; }
     std::size_t QueueDepth() const { return jobs_.Size(); }
 
   private:
@@ -66,7 +63,6 @@ class ServerPool {
         for (;;) {
             PoolJob job = co_await jobs_.Receive();
             co_await cpu->Work(job.cost_ns);
-            ++completed_;
             if (job.done) job.done();
         }
     }
@@ -74,8 +70,6 @@ class ServerPool {
     sim::Simulator& sim_;
     std::vector<machine::Cpu*> cpus_;
     sim::Channel<PoolJob> jobs_;
-    std::uint64_t submitted_ = 0;
-    std::uint64_t completed_ = 0;
 };
 
 }  // namespace wave::workload

@@ -172,6 +172,13 @@ TEST(AnalyzeFixtures, W201DanglingRefAcrossSuspension)
     ExpectDetectedOnce("w201_dangling_ref.cc", "W201");
 }
 
+TEST(AnalyzeFixtures, W201OutOfLineClassTemplateMember)
+{
+    // Regression: a head qualified by a class template,
+    // Drainer<Queue, Sink>::DrainInto, was not parsed as a coroutine.
+    ExpectDetectedOnce("w201_template_member.cc", "W201");
+}
+
 TEST(AnalyzeFixtures, W202CapturingLambdaCoroutine)
 {
     ExpectDetectedOnce("w202_lambda_coroutine.cc", "W202");

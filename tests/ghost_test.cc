@@ -419,6 +419,63 @@ INSTANTIATE_TEST_SUITE_P(Bindings, StackTest,
                              return param_info.param ? "Wave" : "OnHostShm";
                          });
 
+/** A FIFO policy that records every thread handed back to it. */
+class RecordingFifo : public sched::FifoPolicy {
+  public:
+    void
+    OnDecisionFailed(const GhostDecision& decision) override
+    {
+        handed_back.push_back(decision.tid);
+        FifoPolicy::OnDecisionFailed(decision);
+    }
+
+    std::vector<Tid> handed_back;
+};
+
+class AgentOutcomeTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(AgentOutcomeTest, RejectedReactiveTxnIsMatchedWithinItsCore)
+{
+    // Txn ids are numbered per core, so the first reactive decisions on
+    // cores 0 and 1 both carry txn 1. The test plays the host: it
+    // rejects core 0's and commits core 1's. The agent must hand back
+    // core 0's thread, not the thread core 1's record holds.
+    TransportFixture f(GetParam());
+    auto policy = std::make_shared<RecordingFifo>();
+    for (Tid tid : {10, 11}) {
+        policy->OnMessage(GhostMessage{MsgType::kThreadCreated, tid,
+                                       /*core=*/-1, 0, 0});
+    }
+    AgentConfig config;
+    config.cores = {0, 1};
+    auto agent = std::make_shared<GhostAgent>(*f.transport, policy, config);
+    AgentContext ctx(f.sim, f.machine.NicCpu(0));
+    f.sim.Spawn(agent->Run(ctx));
+
+    f.sim.Spawn([](TransportFixture& fx) -> Task<> {
+        co_await fx.sim.Delay(5_us);
+        auto d0 = co_await fx.transport->HostPollDecision(0, true);
+        auto d1 = co_await fx.transport->HostPollDecision(1, true);
+        CO_ASSERT(d0.has_value() && d1.has_value());
+        EXPECT_EQ(d0->decision.tid, 10);
+        EXPECT_EQ(d1->decision.tid, 11);
+        EXPECT_EQ(d0->txn_id, d1->txn_id);
+        co_await fx.transport->HostSendOutcome(
+            0, {d0->txn_id, api::TxnStatus::kFailedRejected});
+        co_await fx.transport->HostSendOutcome(
+            1, {d1->txn_id, api::TxnStatus::kCommitted});
+    }(f));
+    f.sim.RunFor(50'000);
+    EXPECT_EQ(policy->handed_back, std::vector<Tid>{10});
+    EXPECT_EQ(agent->Stats().failed_commits, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Bindings, AgentOutcomeTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& param_info) {
+                             return param_info.param ? "Wave" : "OnHostShm";
+                         });
+
 TEST(Preemption, AgentKickPreemptsLongRunner)
 {
     StackFixture f(/*wave=*/true, /*cores=*/1);

@@ -333,7 +333,7 @@ TEST(HbRaceDetector, LargeRingTableCoversItsCapacityAcrossLaps)
     // of 1000 run the producer far more than 256 entries ahead of the
     // consumer, so a table of any fixed size below the capacity would
     // lap tags the consumer has yet to acquire and report races.
-    ShmQueue queue(sim, 4096);
+    ShmQueue queue(sim, 4096, 8);
     queue.BindCheckers(&hb, &protocol, hb.RegisterActor("host-producer"),
                        hb.RegisterActor("host-consumer"));
 

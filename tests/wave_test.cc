@@ -403,7 +403,7 @@ TEST(Watchdog, KillsAndAllowsRestart)
 TEST(ShmQueue, DeliversWithCoherentCosts)
 {
     Simulator sim;
-    ShmQueue queue(sim, 16);
+    ShmQueue queue(sim, 16, 40);
 
     sim.Spawn([](Simulator& s, ShmQueue& q) -> Task<> {
         std::vector<api::Bytes> batch;
@@ -421,10 +421,53 @@ TEST(ShmQueue, DeliversWithCoherentCosts)
     sim.Run();
 }
 
+TEST(ShmQueue, TwoPhasePollPaysOnlyForTheWaitingPhase)
+{
+    // Ready() on an empty queue costs one empty-flag miss; Ready() then
+    // Take() on a queued entry costs one cross-core read. That is what
+    // Poll() costs in each case. Each phase runs in its own process,
+    // whose spawn is one more event.
+    Simulator sim;
+    ShmQueue queue(sim, 16, 40);
+    const ShmCosts costs;
+    bool ready = true;
+    api::Bytes got;
+
+    std::uint64_t events = sim.EventsExecuted();
+    sim::TimeNs start = sim.Now();
+    sim.Spawn([](ShmQueue& q, bool& r) -> Task<> {
+        r = co_await q.Ready();
+    }(queue, ready));
+    sim.Run();
+    EXPECT_FALSE(ready);
+    EXPECT_EQ(sim.EventsExecuted() - events, 2u);
+    EXPECT_EQ(sim.Now() - start, costs.empty_poll_ns);
+
+    sim.Spawn([](ShmQueue& q) -> Task<> {
+        std::vector<api::Bytes> batch;
+        batch.push_back(Payload(5));
+        co_await q.Send(batch);
+    }(queue));
+    sim.Run();
+
+    events = sim.EventsExecuted();
+    start = sim.Now();
+    sim.Spawn([](ShmQueue& q, bool& r, api::Bytes& out) -> Task<> {
+        r = co_await q.Ready();
+        if (r) co_await q.Take(out);
+    }(queue, ready, got));
+    sim.Run();
+    EXPECT_TRUE(ready);
+    EXPECT_EQ(PayloadValue(got), 5u);
+    EXPECT_EQ(sim.EventsExecuted() - events, 2u);
+    EXPECT_EQ(sim.Now() - start, costs.read_entry_ns);
+    EXPECT_EQ(queue.Size(), 0u);
+}
+
 TEST(ShmQueue, RespectsCapacity)
 {
     Simulator sim;
-    ShmQueue queue(sim, 2);
+    ShmQueue queue(sim, 2, 40);
 
     sim.Spawn([](ShmQueue& q) -> Task<> {
         std::vector<api::Bytes> batch;

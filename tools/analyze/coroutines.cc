@@ -89,12 +89,29 @@ ParseCoroutines(const SourceFile& f)
                std::isspace(static_cast<unsigned char>(head[p]))) {
             ++p;
         }
-        // Function name (possibly Class::qualified).
+        // Function name, possibly Class::qualified, where the class may
+        // be a template: the parse steps over a balanced <...> that is
+        // followed by ::.
         const std::size_t name_start = p;
-        while (p < head.size() &&
-               (std::isalnum(static_cast<unsigned char>(head[p])) ||
-                head[p] == '_' || head[p] == ':')) {
-            ++p;
+        while (p < head.size()) {
+            if (std::isalnum(static_cast<unsigned char>(head[p])) ||
+                head[p] == '_' || head[p] == ':') {
+                ++p;
+                continue;
+            }
+            if (head[p] != '<') break;
+            int depth = 0;
+            std::size_t q = p;
+            for (; q < head.size(); ++q) {
+                if (head[q] == '<') ++depth;
+                if (head[q] == '>' && --depth == 0) break;
+                if (head[q] == '(' || head[q] == ';' || head[q] == '{') break;
+            }
+            if (q >= head.size() || head[q] != '>' ||
+                head.compare(q + 1, 2, "::") != 0) {
+                break;
+            }
+            p = q + 1;
         }
         if (p == name_start) continue;
         const std::string full_name =
