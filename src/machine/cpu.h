@@ -79,7 +79,7 @@ class Cpu {
                 cpu.busy_ = true;
                 scaled = sim::DurationNs::FromDouble(
                     reference_ns.ToDouble() / cpu.domain_->Speed());
-                cpu.sim_.Schedule(scaled, [h] { h.resume(); });
+                cpu.sim_.ScheduleResume(scaled, h);
             }
 
             void

@@ -356,7 +356,7 @@ class NicLocalMapping {
     void
     Charge(std::size_t n, std::coroutine_handle<> h) const
     {
-        dram_.Sim().Schedule(AccessCost(n), [h] { h.resume(); });
+        dram_.Sim().ScheduleResume(AccessCost(n), h);
     }
 
     sim::DurationNs AccessCost(std::size_t n) const;

@@ -60,8 +60,6 @@ class RpcStack {
     void ProcessResponse(workload::Request request,
                          std::function<void(workload::Request)> sent);
 
-    std::size_t QueueDepth() const { return pool_.QueueDepth(); }
-
   private:
     workload::ServerPool pool_;
     RpcCosts costs_;

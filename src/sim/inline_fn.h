@@ -13,6 +13,12 @@
  * heap fallback so the type never silently truncates; they just lose the
  * no-alloc guarantee, which wave_analyze's W101 and the AllocGuard tests
  * exist to catch.
+ *
+ * Each relocation is an indirect call, so a scheduled closure relocates
+ * once: the Schedule* calls take the InlineFn by rvalue reference down
+ * to the timing wheel, which moves it into its event node; the
+ * simulator invokes it there and destroys it when the node is recycled.
+ * Coroutine resumes bypass InlineFn altogether (EventNode::resume).
  */
 // wave-domain: neutral
 // wave-hot
@@ -75,6 +81,16 @@ class InlineFn {
 
     void operator()() { ops_->invoke(storage_); }
 
+    /** Destroys the stored callable, if any, leaving this empty. */
+    void
+    Reset() noexcept
+    {
+        if (ops_ != nullptr) {
+            ops_->destroy(storage_);
+            ops_ = nullptr;
+        }
+    }
+
   private:
     struct Ops {
         void (*invoke)(unsigned char* storage);
@@ -110,15 +126,6 @@ class InlineFn {
         if (ops_ != nullptr) {
             ops_->relocate(storage_, other.storage_);
             other.ops_ = nullptr;
-        }
-    }
-
-    void
-    Reset() noexcept
-    {
-        if (ops_ != nullptr) {
-            ops_->destroy(storage_);
-            ops_ = nullptr;
         }
     }
 

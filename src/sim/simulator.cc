@@ -16,61 +16,40 @@ constexpr std::uint64_t kSweepInterval = 8192;
 
 Simulator::~Simulator()
 {
-    // Drop pending events first: their closures may capture coroutine
-    // handles, but the frames they reference are owned by roots_ (directly
-    // or through nested Task ownership) and are destroyed below. The
-    // closures are never invoked after this point, so no dangling resume
-    // can occur.
+    // Drop pending events first: their resume handles, and closures
+    // that capture handles, point at frames owned by roots_ (directly
+    // or through nested Task ownership) that are destroyed below.
+    // Clearing recycles every node, which nulls its handle, and nothing
+    // pending runs after this point, so no dangling resume can occur.
     events_.Clear();
     SweepRoots(/*all=*/true);
 }
 
-// The schedule/step core below runs once per simulated event — the
-// hottest code in the tree. The destructor and SweepRoots stay outside
-// the region: they run at teardown or every kSweepInterval events.
-// wave-hot: begin
 void
-Simulator::Schedule(DurationNs delay, InlineFn fn)
+Simulator::AuditInsertion(TimeNs when, std::uint64_t key)
 {
-    ScheduleAt(now_ + delay, std::move(fn));
-}
-
-void
-Simulator::ScheduleAt(TimeNs when, InlineFn fn)
-{
-    Push(when, EventNode::kUnkeyed, std::move(fn));
-}
-
-void
-Simulator::ScheduleKeyed(DurationNs delay, std::uint64_t key,
-                         InlineFn fn)
-{
-    ScheduleAtKeyed(now_ + delay, key, std::move(fn));
-}
-
-void
-Simulator::ScheduleAtKeyed(TimeNs when, std::uint64_t key,
-                           InlineFn fn)
-{
-    WAVE_ASSERT(key != EventNode::kUnkeyed,
-                "the all-ones key is reserved for unkeyed events");
-    Push(when, key, std::move(fn));
-}
-
-void
-Simulator::Push(TimeNs when, std::uint64_t key, InlineFn fn)
-{
-    WAVE_ASSERT(when >= now_, "scheduling into the past");
-    if (tie_audit_) {
-        std::uint32_t& pending = pending_at_[when];
-        if (pending > 0 && key == EventNode::kUnkeyed) {
-            ++unkeyed_tie_insertions_;
-        }
-        ++pending;
+    std::uint32_t& pending = pending_at_[when];
+    if (pending > 0 && key == EventNode::kUnkeyed) {
+        ++unkeyed_tie_insertions_;
     }
-    events_.Push(when, key, std::move(fn));
+    ++pending;
 }
 
+void
+Simulator::AuditExecution(TimeNs when)
+{
+    auto it = pending_at_.find(when);
+    if (it != pending_at_.end() && --it->second == 0) {
+        pending_at_.erase(it);
+    }
+}
+
+// The step core below runs once per simulated event — the hottest code
+// in the tree (the schedule half is inline in simulator.h). The
+// destructor, the tie audit and SweepRoots stay outside the region:
+// they run at teardown, only in audited runs, or every kSweepInterval
+// events.
+// wave-hot: begin
 void
 Simulator::Spawn(Task<> task)
 {
@@ -100,7 +79,41 @@ Simulator::Spawn(Task<> task)
     }
     // wave-analyze: allow(W101 roots_ keeps its capacity across sweeps, so steady-state spawn/sweep cycles reuse freed slots)
     roots_.push_back(handle);
-    Schedule(0, [handle] { handle.resume(); });
+    ScheduleResume(0, handle);
+}
+
+void
+Simulator::Execute(EventNode* node)
+{
+    WAVE_ASSERT(node->when >= now_, "event queue went backwards");
+    now_ = node->when;
+    if (tie_audit_) AuditExecution(node->when);
+    // Fold the executed event into the determinism fingerprint. Keyed
+    // events contribute their explicit key so the hash is insensitive
+    // to insertion-order shuffles; unkeyed events contribute their
+    // insertion sequence number, which identical runs reproduce. The
+    // payload (resume or closure) does not enter the fingerprint.
+    const bool keyed = node->key != EventNode::kUnkeyed;
+    event_hash_ = check::FnvWord(event_hash_, node->when.ns());
+    event_hash_ = check::FnvWord(event_hash_, keyed ? node->key : node->seq);
+    event_hash_ = check::FnvByte(event_hash_, keyed ? 1 : 0);
+    if (node->resume) {
+        // Recycle before resuming: the process usually suspends again
+        // at once (a Delay, a Work), and its next event takes this
+        // node back off the free list while it is still warm.
+        const std::coroutine_handle<> h = node->resume;
+        events_.Recycle(node);
+        h.resume();
+    } else {
+        // The closure runs where it was stored; its node is recycled
+        // (destroying the captures) only once it returns, so the
+        // closure never moves out of the node.
+        node->fn();
+        events_.Recycle(node);
+    }
+    if (++events_executed_ % kSweepInterval == 0) {
+        SweepRoots(/*all=*/false);
+    }
 }
 
 bool
@@ -108,34 +121,7 @@ Simulator::Step()
 {
     EventNode* node = events_.PopMin();
     if (node == nullptr) return false;
-    WAVE_ASSERT(node->when >= now_, "event queue went backwards");
-    now_ = node->when;
-    if (tie_audit_) {
-        auto it = pending_at_.find(node->when);
-        if (it != pending_at_.end() && --it->second == 0) {
-            pending_at_.erase(it);
-        }
-    }
-    // Fold the executed event into the determinism fingerprint. Keyed
-    // events contribute their explicit key so the hash is insensitive
-    // to insertion-order shuffles; unkeyed events contribute their
-    // insertion sequence number, which identical runs reproduce.
-    event_hash_ = check::FnvWord(event_hash_, node->when.ns());
-    event_hash_ = check::FnvWord(
-        event_hash_,
-        node->key != EventNode::kUnkeyed ? node->key : node->seq);
-    event_hash_ = check::FnvByte(
-        event_hash_, node->key != EventNode::kUnkeyed ? 1 : 0);
-    // Move the closure out and recycle the node BEFORE running it: the
-    // closure may schedule new events, and the freed node is first in
-    // line for reuse — a schedule-one-run-one steady state ping-pongs
-    // on a single pooled node.
-    InlineFn fn = std::move(node->fn);
-    events_.Recycle(node);
-    fn();
-    if (++events_executed_ % kSweepInterval == 0) {
-        SweepRoots(/*all=*/false);
-    }
+    Execute(node);
     return true;
 }
 
@@ -158,11 +144,10 @@ void
 Simulator::RunUntil(TimeNs when)
 {
     stopped_ = false;
-    for (;;) {
-        if (stopped_) break;
+    while (!stopped_) {
         const EventNode* head = events_.PeekMin();
         if (head == nullptr || head->when > when) break;
-        Step();
+        Execute(events_.PopPeeked());
     }
     if (!stopped_ && when > now_) {
         now_ = when;

@@ -27,10 +27,12 @@
 #include <coroutine>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "check/fnv.h"
 #include "sim/inline_fn.h"
+#include "sim/logging.h"
 #include "sim/task.h"
 #include "sim/time.h"
 #include "sim/timing_wheel.h"
@@ -54,12 +56,37 @@ class Simulator {
      *
      * The closure is stored in an InlineFn: captures up to 48 bytes
      * ride inline with the event and the hot path never touches the
-     * heap (std::function arguments still convert, via one move).
+     * heap (std::function arguments still convert). The InlineFn is
+     * taken by reference down to the queue and moved once, into its
+     * event node, where it later runs.
      */
-    void Schedule(DurationNs delay, InlineFn fn);
+    void
+    Schedule(DurationNs delay, InlineFn&& fn)
+    {
+        Push(now_ + delay, EventNode::kUnkeyed, std::move(fn));
+    }
 
     /** Schedules @p fn at absolute time @p when (must be >= Now()). */
-    void ScheduleAt(TimeNs when, InlineFn fn);
+    void
+    ScheduleAt(TimeNs when, InlineFn&& fn)
+    {
+        Push(when, EventNode::kUnkeyed, std::move(fn));
+    }
+
+    /**
+     * Schedules a resume of coroutine @p h @p delay nanoseconds from
+     * now: an unkeyed event, ordered and fingerprinted exactly like
+     * Schedule(delay, [h] { h.resume(); }), but the event node carries
+     * the handle itself and Step() resumes it directly. Awaitables
+     * that park the calling coroutine for a fixed cost use this.
+     */
+    void
+    ScheduleResume(DurationNs delay, std::coroutine_handle<> h)
+    {
+        const TimeNs when = now_ + delay;
+        Admit(when, EventNode::kUnkeyed);
+        events_.PushResume(when, h);
+    }
 
     /**
      * Schedules @p fn with an explicit same-timestamp tie-break key.
@@ -71,12 +98,20 @@ class Simulator {
      * insertion order is not itself deterministic (e.g. iteration over
      * an unordered registry) stays run-to-run reproducible.
      */
-    void ScheduleKeyed(DurationNs delay, std::uint64_t key,
-                       InlineFn fn);
+    void
+    ScheduleKeyed(DurationNs delay, std::uint64_t key, InlineFn&& fn)
+    {
+        ScheduleAtKeyed(now_ + delay, key, std::move(fn));
+    }
 
     /** Absolute-time variant of ScheduleKeyed(). */
-    void ScheduleAtKeyed(TimeNs when, std::uint64_t key,
-                         InlineFn fn);
+    void
+    ScheduleAtKeyed(TimeNs when, std::uint64_t key, InlineFn&& fn)
+    {
+        WAVE_ASSERT(key != EventNode::kUnkeyed,
+                    "the all-ones key is reserved for unkeyed events");
+        Push(when, key, std::move(fn));
+    }
 
     /**
      * Starts a detached coroutine process.
@@ -174,7 +209,7 @@ class Simulator {
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                sim.Schedule(delay, [h] { h.resume(); });
+                sim.ScheduleResume(delay, h);
             }
 
             void await_resume() const {}
@@ -189,7 +224,26 @@ class Simulator {
     auto Yield() { return Delay(0); }
 
   private:
-    void Push(TimeNs when, std::uint64_t key, InlineFn fn);
+    void
+    Push(TimeNs when, std::uint64_t key, InlineFn&& fn)
+    {
+        Admit(when, key);
+        events_.Push(when, key, std::move(fn));
+    }
+
+    /** Checks an insertion's time and feeds the tie audit, if on. */
+    void
+    Admit(TimeNs when, std::uint64_t key)
+    {
+        WAVE_ASSERT(when >= now_, "scheduling into the past");
+        if (tie_audit_) AuditInsertion(when, key);
+    }
+
+    void AuditInsertion(TimeNs when, std::uint64_t key);
+    void AuditExecution(TimeNs when);
+
+    /** Runs one popped event and recycles its node. */
+    void Execute(EventNode* node);
 
     /** Destroys finished root frames; destroys all frames if @p all. */
     void SweepRoots(bool all);

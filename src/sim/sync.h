@@ -63,7 +63,7 @@ class Signal {
     {
         if (waiters_.Empty()) return;
         auto h = waiters_.PopFront();
-        sim_.Schedule(0, [h] { h.resume(); });
+        sim_.ScheduleResume(0, h);
     }
 
     /** Resumes every currently-registered waiter. */

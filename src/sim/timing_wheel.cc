@@ -20,6 +20,13 @@ HeapAfter(const EventNode* a, const EventNode* b)
     return a->seq > b->seq;
 }
 
+/** Within one slot (one timestamp): a runs before b, on (key, seq). */
+bool
+OrdersBefore(const EventNode* a, const EventNode* b)
+{
+    return a->key < b->key || (a->key == b->key && a->seq < b->seq);
+}
+
 }  // namespace
 
 TimingWheel::TimingWheel() : near_(kNearSlots), far_(kFarSlots)
@@ -29,22 +36,11 @@ TimingWheel::TimingWheel() : near_(kNearSlots), far_(kFarSlots)
 
 TimingWheel::~TimingWheel() { Clear(); }
 
-// Push and pop run once per simulated event — the hottest code in the
-// tree. Pool refills, rewinds, and teardown stay outside the region:
-// they are rare by construction.
+// The out-of-line half of push and pop: keyed inserts, far-ring and
+// overflow filing, and the scan past the cursor's bitmap word. Pool
+// refills, rewinds, and teardown stay outside the region: they are
+// rare by construction.
 // wave-hot: begin
-void
-TimingWheel::Push(TimeNs when, std::uint64_t key, InlineFn fn)
-{
-    EventNode* node = AllocNode();
-    node->when = when;
-    node->key = key;
-    node->seq = next_seq_++;
-    node->fn = std::move(fn);
-    ++size_;
-    PushNode(node);
-}
-
 void
 TimingWheel::PushNode(EventNode* node)
 {
@@ -79,48 +75,28 @@ TimingWheel::PushNode(EventNode* node)
 void
 TimingWheel::InsertNear(EventNode* node)
 {
-    const std::uint64_t s = node->when.ns() & kSlotMask;
-    NearSlot& slot = near_[s];
-    near_bits_[s >> 6] |= 1ull << (s & 63);
-    // A peek may have advanced the scan cursor past this slot (the
-    // then-minimum sat later in the page); pull it back so the new
-    // minimum is found.
-    if (s < near_cursor_) near_cursor_ = s;
-    if (slot.head == nullptr) {
-        node->next = nullptr;
-        slot.head = node;
-        slot.tail = node;
-        return;
-    }
-    // Tail append when the node orders after the current tail — always
-    // true for a fresh unkeyed push (kUnkeyed is the maximum key and a
-    // fresh seq exceeds every pooled node's), which is the hot case.
-    EventNode* t = slot.tail;
-    if (t->key < node->key || (t->key == node->key && t->seq < node->seq)) {
-        node->next = nullptr;
-        t->next = node;
-        slot.tail = node;
+    NearSlot& slot = near_[node->when.ns() & kSlotMask];
+    if (slot.head == nullptr || OrdersBefore(slot.tail, node)) {
+        AppendNear(node);
         return;
     }
     // Keyed or migrated nodes: sorted insert on (key, seq), so keyed
     // events at one timestamp run in key order no matter how the
     // insertions were interleaved. Slot lists are short (events
-    // sharing one nanosecond), so the scan is a few links.
+    // sharing one nanosecond), so the scan is a few links. The tail
+    // orders after the node, so the scan stops before it; the slot's
+    // bit and the scan cursor already cover this occupied slot.
     EventNode** link = &slot.head;
-    while (*link != nullptr &&
-           ((*link)->key < node->key ||
-            ((*link)->key == node->key && (*link)->seq < node->seq))) {
+    while (OrdersBefore(*link, node)) {
         link = &(*link)->next;
     }
     node->next = *link;
     *link = node;
-    if (node->next == nullptr) slot.tail = node;
 }
 
 EventNode*
-TimingWheel::PeekMin()
+TimingWheel::PeekBeyondWord()
 {
-    if (size_ == 0) return nullptr;
     for (;;) {
         const std::uint64_t s = FindNearFrom(near_cursor_);
         if (s < kNearSlots) {
@@ -130,29 +106,6 @@ TimingWheel::PeekMin()
         // Near wheel drained; rotate to the next pending page.
         AdvancePage();
     }
-}
-
-EventNode*
-TimingWheel::PopMin()
-{
-    EventNode* node = PeekMin();
-    if (node == nullptr) return nullptr;
-    NearSlot& slot = near_[near_cursor_];
-    slot.head = node->next;
-    if (slot.head == nullptr) {
-        slot.tail = nullptr;
-        near_bits_[near_cursor_ >> 6] &= ~(1ull << (near_cursor_ & 63));
-    }
-    --size_;
-    return node;
-}
-
-void
-TimingWheel::Recycle(EventNode* node)
-{
-    node->fn = InlineFn{};  // destroy any captured state now
-    node->next = free_;
-    free_ = node;
 }
 
 std::uint64_t
@@ -253,16 +206,6 @@ TimingWheel::HeapPop()
 // wave-hot: end
 
 EventNode*
-TimingWheel::AllocNode()
-{
-    if (free_ == nullptr) Refill();
-    EventNode* node = free_;
-    free_ = node->next;
-    node->next = nullptr;
-    return node;
-}
-
-void
 TimingWheel::Refill()
 {
     chunks_.push_back(std::make_unique<EventNode[]>(kChunkNodes));
@@ -271,6 +214,7 @@ TimingWheel::Refill()
         chunk[i].next = free_;
         free_ = &chunk[i];
     }
+    return free_;
 }
 
 void
@@ -283,7 +227,7 @@ TimingWheel::RewindTo(std::uint64_t page)
     // page. The overflow heap is position-independent and stays put.
     EventNode* collected = nullptr;
     for (std::uint64_t s = FindNearFrom(0); s < kNearSlots;
-         s = FindNearFrom(s + 1)) {
+         s = s + 1 < kNearSlots ? FindNearFrom(s + 1) : kNearSlots) {
         NearSlot& slot = near_[s];
         EventNode* n = slot.head;
         while (n != nullptr) {

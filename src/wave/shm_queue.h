@@ -51,9 +51,9 @@ class ShmQueue {
   public:
     /** @param payload_size bytes in every entry. */
     ShmQueue(sim::Simulator& sim, std::size_t capacity,
-             std::size_t payload_size, ShmCosts costs = {})
+             std::size_t payload_size)
         : sim_(sim), capacity_(capacity), payload_size_(payload_size),
-          costs_(costs), items_(capacity)
+          items_(capacity)
     {
     }
 
@@ -68,7 +68,7 @@ class ShmQueue {
                         "message size %zu != payload size %zu",
                         message.size(), payload_size_);
             if (items_.Size() >= capacity_) break;
-            co_await sim_.Delay(costs_.write_entry_ns);
+            co_await sim_.Delay(kCosts.write_entry_ns);
             WAVE_CHECK_HOOK({
                 if (checker_ != nullptr) {
                     checker_->OnShmAccess(message.size());
@@ -113,7 +113,7 @@ class ShmQueue {
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            queue.sim_.Delay(queue.costs_.empty_poll_ns).await_suspend(h);
+            queue.sim_.Delay(kCosts.empty_poll_ns).await_suspend(h);
         }
 
         bool await_resume() const { return ready; }
@@ -131,7 +131,7 @@ class ShmQueue {
     sim::Task<>
     Take(std::vector<std::byte>& out)
     {
-        co_await sim_.Delay(costs_.read_entry_ns);
+        co_await sim_.Delay(kCosts.read_entry_ns);
         out = items_.PopFront();
         WAVE_CHECK_HOOK({
             if (checker_ != nullptr) {
@@ -228,10 +228,12 @@ class ShmQueue {
                check::HbRaceDetector::kLineSize;
     }
 
+    /** Every queue pays the default shared-memory costs. */
+    static constexpr ShmCosts kCosts{};
+
     sim::Simulator& sim_;
     std::size_t capacity_;
     std::size_t payload_size_;
-    ShmCosts costs_;
     sim::FifoRing<std::vector<std::byte>> items_;
     std::uint64_t sent_ = 0;      ///< absolute seqnum of next enqueue
     std::uint64_t received_ = 0;  ///< absolute seqnum of next dequeue

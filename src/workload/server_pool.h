@@ -53,8 +53,6 @@ class ServerPool {
         jobs_.Push(std::move(job));
     }
 
-    std::size_t QueueDepth() const { return jobs_.Size(); }
-
   private:
     // wave-lifetime(spawn-safe: only `this` is borrowed; the pool is owned by the service, which outlives the simulator run)
     sim::Task<>

@@ -128,6 +128,40 @@ TEST(AllocGuard, TimingWheelStaysAllocationFreeAcrossAllTiers)
     EXPECT_EQ(sink, 5'500u);
 }
 
+TEST(AllocGuard, DelayRoundTripsAreAllocationFreeInSteadyState)
+{
+    // A coroutine's Delay is the commonest event: schedule a resume,
+    // pop it, resume the frame. Near-wheel, same-instant and far-ring
+    // delays all recycle one pooled node and allocate nothing.
+    constexpr int kWarmup = 256;
+    constexpr int kMeasured = 4096;
+
+    Simulator sim;
+    std::uint64_t measured_allocs = ~0ull;
+    int resumes = 0;
+    sim.Spawn([](Simulator& s, int& n, std::uint64_t& allocs) -> Task<> {
+        const auto delay = [](int i) {
+            return i % 64 == 0 ? DurationNs{200'000}
+                               : static_cast<DurationNs>(i % 8);
+        };
+        for (int i = 0; i < kWarmup; ++i) {
+            co_await s.Delay(delay(i));
+            ++n;
+        }
+        const AllocGuard guard;
+        for (int i = 0; i < kMeasured; ++i) {
+            co_await s.Delay(delay(i));
+            ++n;
+        }
+        allocs = guard.Allocations();
+    }(sim, resumes, measured_allocs));
+    sim.Run();
+
+    EXPECT_EQ(measured_allocs, 0u)
+        << "a Delay round trip should reuse a pooled event node";
+    EXPECT_EQ(resumes, kWarmup + kMeasured);
+}
+
 TEST(AllocGuard, ChannelCoroutineLoopIsAllocationFreeInSteadyState)
 {
     // The measured region lives inside one long-running producer /

@@ -18,10 +18,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "check/coherence.h"
+#include "check/fnv.h"
 #include "pcie/config.h"
 #include "pcie/dma.h"
 #include "pcie/mmio.h"
@@ -299,6 +302,96 @@ TEST(DeterminismAuditor, TieAuditCountsUnkeyedSameTimestampInsertions)
     sim.Schedule(200, [] {});          // different timestamp: fine
     sim.Run();
     EXPECT_EQ(sim.UnkeyedTieInsertions(), 1u);
+}
+
+
+TEST(DeterminismAuditor, TieAuditCountsDelayResumesLikeClosures)
+{
+    // One schedule, run twice: an unkeyed closure pends at t=100, and
+    // a second event lands on it from t=0 — a coroutine's Delay resume
+    // in one run, a closure in the other. The audit counts both alike,
+    // and the payload kind leaves the fingerprint untouched.
+    auto run = [](bool as_resume) {
+        sim::Simulator sim;
+        sim.EnableTieAudit();
+        sim.Schedule(100, [] {});
+        if (as_resume) {
+            sim.Spawn([](sim::Simulator& s) -> sim::Task<> {
+                co_await s.Delay(100);
+            }(sim));
+        } else {
+            sim.Schedule(0, [&sim] { sim.Schedule(100, [] {}); });
+        }
+        sim.Run();
+        EXPECT_EQ(sim.Now(), sim::TimeNs{100});
+        return std::pair(sim.UnkeyedTieInsertions(), sim.EventHash());
+    };
+    const auto resume = run(true);
+    const auto closure = run(false);
+    EXPECT_EQ(resume.first, 1u);
+    EXPECT_EQ(resume, closure);
+}
+
+// --- FNV-1a word fold ------------------------------------------------
+
+/** The bytewise FNV-1a fold FnvWord must reproduce, byte for byte. */
+constexpr std::uint64_t
+BytewiseFnvWord(std::uint64_t hash, std::uint64_t word)
+{
+    for (int i = 0; i < 8; ++i) {
+        hash ^= (word >> (i * 8)) & 0xff;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+static_assert(check::FnvWord(check::kFnvOffsetBasis, 0x0000'00ff'0000'1234) ==
+                  BytewiseFnvWord(check::kFnvOffsetBasis,
+                                  0x0000'00ff'0000'1234),
+              "FnvWord must stay constexpr and bytewise FNV-1a");
+
+TEST(FnvWord, MatchesBytewiseFoldForEverySignificantLength)
+{
+    std::vector<std::uint64_t> words = {0, ~0ull, 0xff00'0000'0000'00ffULL,
+                                        0x0100'0000'0000'0001ULL,
+                                        0x0000'ff00'00ff'0000ULL};
+    for (int bytes = 0; bytes <= 8; ++bytes) {
+        // All low `bytes` bytes set: that many significant bytes.
+        words.push_back(bytes == 8 ? ~0ull : (1ull << (8 * bytes)) - 1);
+    }
+    for (int pos = 0; pos < 8; ++pos) {
+        // One set byte at each position: zeros below it and above it.
+        for (std::uint64_t v : {0x01ull, 0x80ull, 0xffull}) {
+            words.push_back(v << (8 * pos));
+            words.push_back((v << (8 * pos)) | 1);
+        }
+    }
+    const std::uint64_t hashes[] = {check::kFnvOffsetBasis, 0, ~0ull,
+                                    0x1234'5678'9abc'def0ULL};
+    for (std::uint64_t hash : hashes) {
+        for (std::uint64_t word : words) {
+            EXPECT_EQ(check::FnvWord(hash, word), BytewiseFnvWord(hash, word))
+                << std::hex << "hash 0x" << hash << " word 0x" << word;
+        }
+    }
+}
+
+TEST(FnvWord, MatchesBytewiseFoldOnRandomWords)
+{
+    // splitmix64; the shift spreads the words over every length.
+    std::uint64_t state = 0x9e37'79b9'7f4a'7c15ULL;
+    auto next = [&state] {
+        std::uint64_t z = (state += 0x9e37'79b9'7f4a'7c15ULL);
+        z = (z ^ (z >> 30)) * 0xbf58'476d'1ce4'e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d0'49bb'1331'11ebULL;
+        return z ^ (z >> 31);
+    };
+    for (int i = 0; i < 200'000; ++i) {
+        const std::uint64_t hash = next();
+        const std::uint64_t word = next() >> (next() % 64);
+        ASSERT_EQ(check::FnvWord(hash, word), BytewiseFnvWord(hash, word))
+            << std::hex << "hash 0x" << hash << " word 0x" << word;
+    }
 }
 
 }  // namespace

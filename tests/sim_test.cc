@@ -17,6 +17,7 @@
 #include "sim/sync.h"
 #include "sim/task.h"
 #include "sim/time.h"
+#include "sim/timing_wheel.h"
 #include "sim/trace.h"
 
 namespace wave::sim {
@@ -274,9 +275,16 @@ TEST(Coroutines, DeepTaskChainsDoNotOverflowStack)
     EXPECT_EQ(leaves, 1);
 }
 
+/** Counts the destruction of the coroutine frame that holds it. */
+struct FrameGuard {
+    int* destroyed;
+    ~FrameGuard() { ++*destroyed; }
+};
+
 Task<>
-InfiniteLoop(Simulator& sim, int& iterations)
+InfiniteLoop(Simulator& sim, int& iterations, int& destroyed)
 {
+    const FrameGuard guard{&destroyed};
     for (;;) {
         co_await sim.Delay(1_ms);
         ++iterations;
@@ -286,14 +294,18 @@ InfiniteLoop(Simulator& sim, int& iterations)
 TEST(Coroutines, InfiniteProcessesAreDestroyedAtTeardown)
 {
     int iterations = 0;
+    int destroyed = 0;
     {
         Simulator sim;
-        sim.Spawn(InfiniteLoop(sim, iterations));
+        sim.Spawn(InfiniteLoop(sim, iterations, destroyed));
         sim.RunFor(10_ms);
+        EXPECT_EQ(destroyed, 0);
     }
-    // 10 iterations ran; the suspended frame was torn down without leaking
-    // (verified under ASan in CI-style runs) and without crashing here.
+    // 10 iterations ran; the frame, suspended with its next resume
+    // pending, was torn down once (no leak, verified under ASan in
+    // CI-style runs) and never resumed.
     EXPECT_EQ(iterations, 10);
+    EXPECT_EQ(destroyed, 1);
 }
 
 Task<>
@@ -327,6 +339,37 @@ TEST(Coroutines, AdjacentDoneRootsAreReapedAcrossSpawns)
 
     sim.Run();
     EXPECT_EQ(stamps.size(), 6u);
+}
+
+Task<>
+MarksResumed(bool& resumed)
+{
+    resumed = true;
+    co_return;
+}
+
+TEST(TimingWheel, ClearedResumeIsNeverRunThroughAReusedNode)
+{
+    // A task that was never started sits at its initial suspension:
+    // resuming it would run its body.
+    bool resumed = false;
+    const auto handle = MarksResumed(resumed).Release();
+    TimingWheel wheel;
+    wheel.PushResume(TimeNs{5}, handle);
+    EventNode* const cleared = wheel.PeekMin();
+    wheel.Clear();
+
+    // The pool is LIFO, so the next push takes the cleared node back.
+    bool ran = false;
+    wheel.Push(TimeNs{5}, EventNode::kUnkeyed, [&ran] { ran = true; });
+    EventNode* node = wheel.PopMin();
+    ASSERT_EQ(node, cleared);
+    EXPECT_FALSE(node->resume) << "Clear() left a handle in a pooled node";
+    node->fn();
+    wheel.Recycle(node);
+    EXPECT_TRUE(ran);
+    EXPECT_FALSE(resumed);
+    handle.destroy();
 }
 
 TEST(Sync, SignalWakesWaitersInFifoOrder)
