@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #include "pcie/config.h"
@@ -56,7 +57,8 @@ class RingLayout {
     explicit RingLayout(const QueueConfig& config)
         : config_(config),
           slot_size_(AlignUp(config.payload_size + kFlagSize,
-                             pcie::PcieConfig::kLineSize))
+                             pcie::PcieConfig::kLineSize)),
+          capacity_log2_(std::countr_zero(config.capacity))
     {
         WAVE_ASSERT(config.capacity > 0 &&
                         (config.capacity & (config.capacity - 1)) == 0,
@@ -113,7 +115,7 @@ class RingLayout {
     std::uint64_t
     GenerationOf(std::uint64_t index) const
     {
-        return index / config_.capacity + 1;
+        return (index >> capacity_log2_) + 1;
     }
 
     const QueueConfig& Config() const { return config_; }
@@ -127,6 +129,7 @@ class RingLayout {
 
     QueueConfig config_;
     std::size_t slot_size_;
+    int capacity_log2_;  ///< capacity is a power of two
 };
 
 }  // namespace wave::channel

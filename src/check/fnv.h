@@ -48,8 +48,9 @@ FnvByte(std::uint64_t hash, std::uint8_t byte)
  * Same bytes, same order, same result as eight FnvByte() rounds, but
  * folding a zero byte is a bare multiply, so the run of zero bytes
  * above the highest set one is a single multiply by a power of the
- * prime. Simulated timestamps and sequence numbers have three to five
- * significant bytes, which halves the dependent multiplies per word.
+ * prime. A word with k significant bytes costs k + 1 dependent
+ * multiplies instead of 8; simulated timestamps and sequence numbers
+ * have three to five.
  */
 constexpr std::uint64_t
 FnvWord(std::uint64_t hash, std::uint64_t word)

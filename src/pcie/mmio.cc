@@ -230,14 +230,15 @@ HostMmioMapping::ReadCachedWt(std::size_t offset, void* dst, std::size_t n,
 }
 
 std::vector<std::byte>
-HostMmioMapping::AcquirePostedBuf(std::size_t n)
+HostMmioMapping::AcquirePostedBuf(const void* src, std::size_t n)
 {
     std::vector<std::byte> buf;
     if (!posted_pool_.empty()) {
         buf = std::move(posted_pool_.back());
         posted_pool_.pop_back();
     }
-    buf.resize(n);
+    const auto* bytes = static_cast<const std::byte*>(src);
+    buf.assign(bytes, bytes + n);
     return buf;
 }
 
@@ -256,8 +257,7 @@ HostMmioMapping::PostStores(std::size_t offset, const void* src,
     // event queue is FIFO at equal timestamps), but injected latency
     // spikes vary it, so clamp each landing to the previous burst's
     // visibility time: posted writes never reorder, they only bunch up.
-    std::vector<std::byte> copy = AcquirePostedBuf(n);
-    std::memcpy(copy.data(), src, n);
+    std::vector<std::byte> copy = AcquirePostedBuf(src, n);
     const sim::TimeNs visible_at =
         std::max(dram_.Sim().Now() + config_.posted_visibility_ns +
                      ExtraPcieDelay(),

@@ -218,11 +218,12 @@ class HostMmioMapping {
     void PostStores(std::size_t offset, const void* src, std::size_t n);
 
     /**
-     * Checks out a payload buffer for one posted burst. Buffers recycle
-     * through posted_pool_ when the visibility event lands, so the
-     * steady-state posted-write path never allocates.
+     * Checks out a payload buffer for one posted burst, holding a copy
+     * of the @p n bytes at @p src. Buffers recycle through posted_pool_
+     * when the visibility event lands, so the steady-state posted-write
+     * path never allocates.
      */
-    std::vector<std::byte> AcquirePostedBuf(std::size_t n);
+    std::vector<std::byte> AcquirePostedBuf(const void* src, std::size_t n);
     void RecyclePostedBuf(std::vector<std::byte>&& buf);
 
     /**

@@ -81,16 +81,6 @@ class InlineFn {
 
     void operator()() { ops_->invoke(storage_); }
 
-    /** Destroys the stored callable, if any, leaving this empty. */
-    void
-    Reset() noexcept
-    {
-        if (ops_ != nullptr) {
-            ops_->destroy(storage_);
-            ops_ = nullptr;
-        }
-    }
-
   private:
     struct Ops {
         void (*invoke)(unsigned char* storage);
@@ -126,6 +116,15 @@ class InlineFn {
         if (ops_ != nullptr) {
             ops_->relocate(storage_, other.storage_);
             other.ops_ = nullptr;
+        }
+    }
+
+    void
+    Reset() noexcept
+    {
+        if (ops_ != nullptr) {
+            ops_->destroy(storage_);
+            ops_ = nullptr;
         }
     }
 

@@ -44,12 +44,56 @@ Simulator::AuditExecution(TimeNs when)
     }
 }
 
-// The step core below runs once per simulated event — the hottest code
-// in the tree (the schedule half is inline in simulator.h). The
-// destructor, the tie audit and SweepRoots stay outside the region:
-// they run at teardown, only in audited runs, or every kSweepInterval
-// events.
+// The schedule/step core below runs once per simulated event — the
+// hottest code in the tree. The destructor, the tie audit and
+// SweepRoots stay outside the region: they run at teardown, only in
+// audited runs, or every kSweepInterval events.
 // wave-hot: begin
+void
+Simulator::Schedule(DurationNs delay, InlineFn&& fn)
+{
+    ScheduleAt(now_ + delay, std::move(fn));
+}
+
+void
+Simulator::ScheduleAt(TimeNs when, InlineFn&& fn)
+{
+    Admit(when, EventNode::kUnkeyed);
+    events_.Push(when, EventNode::kUnkeyed, std::move(fn));
+}
+
+void
+Simulator::ScheduleResume(DurationNs delay, std::coroutine_handle<> h)
+{
+    const TimeNs when = now_ + delay;
+    Admit(when, EventNode::kUnkeyed);
+    events_.PushResume(when, h);
+}
+
+void
+Simulator::ScheduleKeyed(DurationNs delay, std::uint64_t key,
+                         InlineFn&& fn)
+{
+    ScheduleAtKeyed(now_ + delay, key, std::move(fn));
+}
+
+void
+Simulator::ScheduleAtKeyed(TimeNs when, std::uint64_t key,
+                           InlineFn&& fn)
+{
+    WAVE_ASSERT(key != EventNode::kUnkeyed,
+                "the all-ones key is reserved for unkeyed events");
+    Admit(when, key);
+    events_.Push(when, key, std::move(fn));
+}
+
+void
+Simulator::Admit(TimeNs when, std::uint64_t key)
+{
+    WAVE_ASSERT(when >= now_, "scheduling into the past");
+    if (tie_audit_) AuditInsertion(when, key);
+}
+
 void
 Simulator::Spawn(Task<> task)
 {
@@ -145,9 +189,9 @@ Simulator::RunUntil(TimeNs when)
 {
     stopped_ = false;
     while (!stopped_) {
-        const EventNode* head = events_.PeekMin();
+        EventNode* head = events_.PeekMin();
         if (head == nullptr || head->when > when) break;
-        Execute(events_.PopPeeked());
+        Execute(events_.PopPeeked(head));
     }
     if (!stopped_ && when > now_) {
         now_ = when;

@@ -27,12 +27,10 @@
 #include <coroutine>
 #include <cstdint>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "check/fnv.h"
 #include "sim/inline_fn.h"
-#include "sim/logging.h"
 #include "sim/task.h"
 #include "sim/time.h"
 #include "sim/timing_wheel.h"
@@ -60,18 +58,10 @@ class Simulator {
      * taken by reference down to the queue and moved once, into its
      * event node, where it later runs.
      */
-    void
-    Schedule(DurationNs delay, InlineFn&& fn)
-    {
-        Push(now_ + delay, EventNode::kUnkeyed, std::move(fn));
-    }
+    void Schedule(DurationNs delay, InlineFn&& fn);
 
     /** Schedules @p fn at absolute time @p when (must be >= Now()). */
-    void
-    ScheduleAt(TimeNs when, InlineFn&& fn)
-    {
-        Push(when, EventNode::kUnkeyed, std::move(fn));
-    }
+    void ScheduleAt(TimeNs when, InlineFn&& fn);
 
     /**
      * Schedules a resume of coroutine @p h @p delay nanoseconds from
@@ -80,13 +70,7 @@ class Simulator {
      * the handle itself and Step() resumes it directly. Awaitables
      * that park the calling coroutine for a fixed cost use this.
      */
-    void
-    ScheduleResume(DurationNs delay, std::coroutine_handle<> h)
-    {
-        const TimeNs when = now_ + delay;
-        Admit(when, EventNode::kUnkeyed);
-        events_.PushResume(when, h);
-    }
+    void ScheduleResume(DurationNs delay, std::coroutine_handle<> h);
 
     /**
      * Schedules @p fn with an explicit same-timestamp tie-break key.
@@ -98,20 +82,10 @@ class Simulator {
      * insertion order is not itself deterministic (e.g. iteration over
      * an unordered registry) stays run-to-run reproducible.
      */
-    void
-    ScheduleKeyed(DurationNs delay, std::uint64_t key, InlineFn&& fn)
-    {
-        ScheduleAtKeyed(now_ + delay, key, std::move(fn));
-    }
+    void ScheduleKeyed(DurationNs delay, std::uint64_t key, InlineFn&& fn);
 
     /** Absolute-time variant of ScheduleKeyed(). */
-    void
-    ScheduleAtKeyed(TimeNs when, std::uint64_t key, InlineFn&& fn)
-    {
-        WAVE_ASSERT(key != EventNode::kUnkeyed,
-                    "the all-ones key is reserved for unkeyed events");
-        Push(when, key, std::move(fn));
-    }
+    void ScheduleAtKeyed(TimeNs when, std::uint64_t key, InlineFn&& fn);
 
     /**
      * Starts a detached coroutine process.
@@ -224,20 +198,8 @@ class Simulator {
     auto Yield() { return Delay(0); }
 
   private:
-    void
-    Push(TimeNs when, std::uint64_t key, InlineFn&& fn)
-    {
-        Admit(when, key);
-        events_.Push(when, key, std::move(fn));
-    }
-
     /** Checks an insertion's time and feeds the tie audit, if on. */
-    void
-    Admit(TimeNs when, std::uint64_t key)
-    {
-        WAVE_ASSERT(when >= now_, "scheduling into the past");
-        if (tie_audit_) AuditInsertion(when, key);
-    }
+    void Admit(TimeNs when, std::uint64_t key);
 
     void AuditInsertion(TimeNs when, std::uint64_t key);
     void AuditExecution(TimeNs when);

@@ -36,11 +36,39 @@ TimingWheel::TimingWheel() : near_(kNearSlots), far_(kFarSlots)
 
 TimingWheel::~TimingWheel() { Clear(); }
 
-// The out-of-line half of push and pop: keyed inserts, far-ring and
-// overflow filing, and the scan past the cursor's bitmap word. Pool
-// refills, rewinds, and teardown stay outside the region: they are
-// rare by construction.
+// Push and pop run once per simulated event — the hottest code in the
+// tree. Pool refills, rewinds, and teardown stay outside the region:
+// they are rare by construction.
 // wave-hot: begin
+void
+TimingWheel::Push(TimeNs when, std::uint64_t key, InlineFn&& fn)
+{
+    EventNode* node = Stamp(when, key);
+    node->fn = std::move(fn);
+    PushNode(node);
+}
+
+void
+TimingWheel::PushResume(TimeNs when, std::coroutine_handle<> h)
+{
+    EventNode* node = Stamp(when, EventNode::kUnkeyed);
+    node->resume = h;
+    PushNode(node);
+}
+
+EventNode*
+TimingWheel::Stamp(TimeNs when, std::uint64_t key)
+{
+    if (free_ == nullptr) Refill();
+    EventNode* node = free_;
+    free_ = node->next;
+    node->when = when;
+    node->key = key;
+    node->seq = next_seq_++;
+    ++size_;
+    return node;
+}
+
 void
 TimingWheel::PushNode(EventNode* node)
 {
@@ -75,17 +103,35 @@ TimingWheel::PushNode(EventNode* node)
 void
 TimingWheel::InsertNear(EventNode* node)
 {
-    NearSlot& slot = near_[node->when.ns() & kSlotMask];
-    if (slot.head == nullptr || OrdersBefore(slot.tail, node)) {
-        AppendNear(node);
+    const std::uint64_t s = node->when.ns() & kSlotMask;
+    NearSlot& slot = near_[s];
+    if (slot.head == nullptr) {
+        near_bits_[s >> 6] |= 1ull << (s & 63);
+        // A peek may have advanced the scan cursor past this slot (the
+        // then-minimum sat later in the page); pull it back so the new
+        // minimum is found.
+        if (s < near_cursor_) near_cursor_ = s;
+        node->next = nullptr;
+        slot.head = node;
+        slot.tail = node;
+        return;
+    }
+    // Tail append when the node orders after the current tail — always
+    // true for a fresh unkeyed push (kUnkeyed is the maximum key and a
+    // fresh seq exceeds every pooled node's), which is the hot case.
+    // An occupied slot already has its bit set, and the scan cursor
+    // never passes it.
+    if (OrdersBefore(slot.tail, node)) {
+        node->next = nullptr;
+        slot.tail->next = node;
+        slot.tail = node;
         return;
     }
     // Keyed or migrated nodes: sorted insert on (key, seq), so keyed
     // events at one timestamp run in key order no matter how the
     // insertions were interleaved. Slot lists are short (events
-    // sharing one nanosecond), so the scan is a few links. The tail
-    // orders after the node, so the scan stops before it; the slot's
-    // bit and the scan cursor already cover this occupied slot.
+    // sharing one nanosecond), so the scan is a few links, and it
+    // stops before the tail, which orders after the node.
     EventNode** link = &slot.head;
     while (OrdersBefore(*link, node)) {
         link = &(*link)->next;
@@ -95,8 +141,9 @@ TimingWheel::InsertNear(EventNode* node)
 }
 
 EventNode*
-TimingWheel::PeekBeyondWord()
+TimingWheel::PeekMin()
 {
+    if (size_ == 0) return nullptr;
     for (;;) {
         const std::uint64_t s = FindNearFrom(near_cursor_);
         if (s < kNearSlots) {
@@ -106,6 +153,37 @@ TimingWheel::PeekBeyondWord()
         // Near wheel drained; rotate to the next pending page.
         AdvancePage();
     }
+}
+
+EventNode*
+TimingWheel::PopMin()
+{
+    EventNode* node = PeekMin();
+    return node != nullptr ? PopPeeked(node) : nullptr;
+}
+
+EventNode*
+TimingWheel::PopPeeked(EventNode* peeked)
+{
+    NearSlot& slot = near_[near_cursor_];
+    WAVE_ASSERT(slot.head == peeked,
+                "popping a node that is no longer the minimum");
+    slot.head = peeked->next;
+    if (slot.head == nullptr) {
+        slot.tail = nullptr;
+        near_bits_[near_cursor_ >> 6] &= ~(1ull << (near_cursor_ & 63));
+    }
+    --size_;
+    return peeked;
+}
+
+void
+TimingWheel::Recycle(EventNode* node)
+{
+    node->resume = nullptr;
+    node->fn = InlineFn{};  // destroy any captured state now
+    node->next = free_;
+    free_ = node;
 }
 
 std::uint64_t
@@ -205,7 +283,7 @@ TimingWheel::HeapPop()
 }
 // wave-hot: end
 
-EventNode*
+void
 TimingWheel::Refill()
 {
     chunks_.push_back(std::make_unique<EventNode[]>(kChunkNodes));
@@ -214,7 +292,6 @@ TimingWheel::Refill()
         chunk[i].next = free_;
         free_ = &chunk[i];
     }
-    return free_;
 }
 
 void

@@ -37,12 +37,6 @@
  * push/pop performs zero heap allocations — alloc_test holds the
  * wheel to the same zero-alloc budget as the rest of the event loop.
  *
- * The per-event path is inline in this header: taking a pooled node,
- * an unkeyed push into the current page (always a tail append),
- * peeking the current near-wheel word, and popping the peeked node.
- * Keyed inserts, the far ring, the overflow heap, page advances,
- * rewinds and pool refills stay out of line in timing_wheel.cc.
- *
  * The pop order is bit-identical to the std::priority_queue this
  * replaced: determinism_test pins golden event-stream fingerprints
  * captured under the old queue and asserts the wheel reproduces them.
@@ -52,12 +46,10 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "sim/inline_fn.h"
@@ -107,18 +99,10 @@ class TimingWheel {
      * sequence number (the unkeyed FIFO tie-break and fingerprint
      * identity). The closure moves once, into its node.
      */
-    void
-    Push(TimeNs when, std::uint64_t key, InlineFn&& fn)
-    {
-        Enqueue(when, key)->fn = std::move(fn);
-    }
+    void Push(TimeNs when, std::uint64_t key, InlineFn&& fn);
 
     /** Enqueues an unkeyed resume of @p h; sequenced like Push(). */
-    void
-    PushResume(TimeNs when, std::coroutine_handle<> h)
-    {
-        Enqueue(when, EventNode::kUnkeyed)->resume = h;
-    }
+    void PushResume(TimeNs when, std::coroutine_handle<> h);
 
     /**
      * The minimum pending event, or nullptr if empty. Idempotent, but
@@ -126,59 +110,27 @@ class TimingWheel {
      * page of the minimum (migrating far/overflow events inward), a
      * rotation that never changes the pop order.
      */
-    EventNode*
-    PeekMin()
-    {
-        if (size_ == 0) return nullptr;
-        // The scan cursor never passes an occupied slot, so the first
-        // set bit at or after it in its word is the minimum.
-        const std::uint64_t bits = near_bits_[near_cursor_ >> 6] &
-                                   (~0ull << (near_cursor_ & 63));
-        if (bits == 0) return PeekBeyondWord();
-        near_cursor_ = (near_cursor_ & ~63ull) +
-                       static_cast<std::uint64_t>(std::countr_zero(bits));
-        return near_[near_cursor_].head;
-    }
+    EventNode* PeekMin();
 
     /**
-     * Unlinks and returns the node the last PeekMin() returned; no
-     * push may come in between. The caller owns the node until it
-     * hands it back to Recycle().
+     * Unlinks and returns the minimum pending event, or nullptr. The
+     * caller owns the node until it hands it back to Recycle().
      */
-    EventNode*
-    PopPeeked()
-    {
-        NearSlot& slot = near_[near_cursor_];
-        EventNode* node = slot.head;
-        slot.head = node->next;
-        if (slot.head == nullptr) {
-            slot.tail = nullptr;
-            near_bits_[near_cursor_ >> 6] &= ~(1ull << (near_cursor_ & 63));
-        }
-        --size_;
-        return node;
-    }
+    EventNode* PopMin();
 
-    /** Unlinks and returns the minimum pending event, or nullptr. */
-    EventNode*
-    PopMin()
-    {
-        return PeekMin() != nullptr ? PopPeeked() : nullptr;
-    }
+    /**
+     * PopMin() for a caller that just peeked: unlinks @p peeked, the
+     * node PeekMin() returned, without peeking again. Asserts that
+     * @p peeked is still the minimum (no earlier push came between).
+     */
+    EventNode* PopPeeked(EventNode* peeked);
 
     /**
      * Returns a popped node to the pool, dropping its coroutine handle
      * and destroying any closure, so a reused node never runs a stale
      * payload. Freed nodes are reused first (LIFO), while still warm.
      */
-    void
-    Recycle(EventNode* node)
-    {
-        node->resume = nullptr;
-        node->fn.Reset();
-        node->next = free_;
-        free_ = node;
-    }
+    void Recycle(EventNode* node);
 
     /** Discards (recycles) every pending event without running it. */
     void Clear();
@@ -219,60 +171,19 @@ class TimingWheel {
     }
 
     /**
-     * Takes a pooled node, stamps it with (when, key, next seq), and
-     * files it; the caller then sets its payload. An unkeyed event in
-     * the current page orders after everything in its slot — kUnkeyed
-     * is the largest key and a fresh seq the largest yet issued — so
-     * it is a tail append; every other case is filed out of line.
+     * Takes a pooled node and stamps it with (when, key, next seq);
+     * the caller sets its payload and files it with PushNode().
      */
-    EventNode*
-    Enqueue(TimeNs when, std::uint64_t key)
-    {
-        EventNode* node = free_ != nullptr ? free_ : Refill();
-        free_ = node->next;
-        node->when = when;
-        node->key = key;
-        node->seq = next_seq_++;
-        ++size_;
-        if (key == EventNode::kUnkeyed && PageOf(when) == cur_page_) {
-            AppendNear(node);
-        } else {
-            PushNode(node);
-        }
-        return node;
-    }
+    EventNode* Stamp(TimeNs when, std::uint64_t key);
 
-    /** Appends @p node at the tail of its current-page slot. */
-    void
-    AppendNear(EventNode* node)
-    {
-        const std::uint64_t s = node->when.ns() & kSlotMask;
-        NearSlot& slot = near_[s];
-        near_bits_[s >> 6] |= 1ull << (s & 63);
-        // A peek may have advanced the scan cursor past this slot (the
-        // then-minimum sat later in the page); pull it back so the new
-        // minimum is found.
-        if (s < near_cursor_) near_cursor_ = s;
-        node->next = nullptr;
-        if (slot.head == nullptr) {
-            slot.head = node;
-        } else {
-            slot.tail->next = node;
-        }
-        slot.tail = node;
-    }
-
-    /** Grows the pool by one chunk; returns the new free-list head. */
-    EventNode* Refill();
+    /** Grows the pool by one chunk (cold path). */
+    void Refill();
 
     /** Files a stamped node into the tier its page falls in. */
     void PushNode(EventNode* node);
 
     /** Sorted insert into the current page's slot for node->when. */
     void InsertNear(EventNode* node);
-
-    /** PeekMin() once the cursor's bitmap word holds no later slot. */
-    EventNode* PeekBeyondWord();
 
     /** First populated near slot at index >= @p from, or kNearSlots. */
     std::uint64_t FindNearFrom(std::uint64_t from) const;

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/frame_pool.h"
@@ -370,6 +372,49 @@ TEST(TimingWheel, ClearedResumeIsNeverRunThroughAReusedNode)
     EXPECT_TRUE(ran);
     EXPECT_FALSE(resumed);
     handle.destroy();
+}
+
+TEST(TimingWheel, PopsInOrderWhenEventsScatterAcrossBitmapWords)
+{
+    // Events land up to two pages ahead, often many bitmap words past
+    // the scan cursor and sometimes behind it in the same word, while
+    // pops drain words and whole pages; the pop order must stay
+    // (when, seq): here, the order of the tags.
+    TimingWheel wheel;
+    Rng rng(7);
+    std::set<std::pair<std::uint64_t, std::uint64_t>> pending;
+    std::uint64_t now = 0;
+    std::uint64_t next_tag = 0;
+    std::uint64_t ran = 0;
+    for (int step = 0; step < 20'000; ++step) {
+        const std::uint64_t pushes = rng.NextBounded(3);
+        for (std::uint64_t i = 0; i < pushes || wheel.Empty(); ++i) {
+            const std::uint64_t when = now + rng.NextBounded(9'000);
+            const std::uint64_t tag = next_tag++;
+            pending.emplace(when, tag);
+            wheel.Push(TimeNs{when}, EventNode::kUnkeyed,
+                       [&ran, tag] { ran = tag; });
+        }
+        EventNode* node = wheel.PopMin();
+        ASSERT_NE(node, nullptr);
+        node->fn();
+        ASSERT_EQ((std::pair{node->when.ns(), ran}), *pending.begin());
+        pending.erase(pending.begin());
+        now = node->when.ns();
+        wheel.Recycle(node);
+    }
+}
+
+TEST(TimingWheel, PopPeekedRefusesANodeThatIsNoLongerTheMinimum)
+{
+    // An earlier push between PeekMin() and PopPeeked() makes the
+    // peeked node stale; unlinking it would pop out of order, so the
+    // wheel stops the run instead.
+    TimingWheel wheel;
+    wheel.Push(TimeNs{20}, EventNode::kUnkeyed, [] {});
+    EventNode* const peeked = wheel.PeekMin();
+    wheel.Push(TimeNs{10}, EventNode::kUnkeyed, [] {});
+    EXPECT_DEATH(wheel.PopPeeked(peeked), "no longer the minimum");
 }
 
 TEST(Sync, SignalWakesWaitersInFifoOrder)
