@@ -9,12 +9,17 @@
  * insight), and DMA batching.
  *
  * `--json <path>` instead times the implementation itself in wall-clock
- * time (the event loop and an MMIO round trip), so regressions show up
- * independently of the modelled latencies (BENCH_simcore.json).
+ * time (the event loop and an MMIO round trip, each over a reference
+ * queue timed in the same run), so regressions show up independently
+ * of the modelled latencies (BENCH_simcore.json).
  */
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
@@ -178,150 +183,244 @@ PrintDesignChoiceTables()
 
 // --- BENCH_simcore.json: the machine-readable perf trajectory ---
 
-/**
- * The bare event loop: one round schedules 1000 zero-work events over
- * 64 ns and runs them. A warmup round levels the event-queue capacity
- * and frame pool off, so the measured rounds run the loop exactly as a
- * long simulation would.
- */
-class EventLoopRung {
-  public:
-    EventLoopRung() { RunRound(); }
+/** Events in one timed slice of a rung: tens of µs of host time. */
+constexpr int kEventsPerSlice = 1000;
 
-    /** Events/s over @p rounds rounds. */
-    double
-    Rep(int rounds)
+/**
+ * The reference both gated simcore ratios divide by: the event loop's
+ * schedule through a 64-bucket calendar queue of std::vectors, popped
+ * in time order. It shares no code with src/sim, so a change to the
+ * event core moves the ratios rather than their reference. Machine load
+ * slows it as it slows the event core; a std::priority_queue's
+ * data-dependent branches did not track it (see docs/perf.md).
+ */
+class ReferenceQueueRung {
+  public:
+    ReferenceQueueRung()
     {
-        const std::uint64_t events_before = sim_.EventsExecuted();
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int r = 0; r < rounds; ++r) {
-            RunRound();
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        // Reading every callback's effect keeps the timed work
-        // observable.
-        WAVE_ASSERT(sink_ == sim_.EventsExecuted(), "a callback did not run");
-        const std::uint64_t events = sim_.EventsExecuted() - events_before;
-        events_ += events;
-        return static_cast<double>(events) /
-               std::chrono::duration<double>(t1 - t0).count();
+        for (auto& bucket : buckets_) bucket.reserve(kEventsPerSlice);
     }
 
-    /** Events executed by all Rep() calls. */
-    std::uint64_t Events() const { return events_; }
+    /** Pushes one slice of events and pops them; returns the count. */
+    std::uint64_t
+    Slice()
+    {
+        // Every event lands within 64 ns of now_, so one revolution of
+        // the buckets, lowest set bit first, is time order.
+        for (int i = 0; i < kEventsPerSlice; ++i) {
+            const std::uint64_t when =
+                now_ + static_cast<std::uint64_t>(i % 64);
+            buckets_[when % 64].emplace_back(when, seq_++);
+            pending_ |= 1ULL << (when % 64);
+        }
+        std::uint64_t popped = 0;
+        while (pending_ != 0) {
+            auto& bucket = buckets_[std::countr_zero(pending_)];
+            for (const auto& [when, seq] : bucket) {
+                ordered_ = ordered_ && when >= last_;
+                last_ = when;
+                ++popped;
+            }
+            bucket.clear();
+            pending_ &= pending_ - 1;
+        }
+        now_ += 64;
+        return popped;
+    }
+
+    /** Whether every pop came out in time order. */
+    bool Ordered() const { return ordered_; }
 
   private:
-    void
-    RunRound()
+    using Event = std::pair<std::uint64_t, std::uint64_t>;  // (time, seq)
+    std::array<std::vector<Event>, 64> buckets_;
+    std::uint64_t pending_ = 0;  ///< bit b: bucket b is non-empty
+    std::uint64_t now_ = 0;
+    std::uint64_t seq_ = 0;
+    std::uint64_t last_ = 0;
+    bool ordered_ = true;
+};
+
+/** The bare event loop: a slice schedules zero-work events over 64 ns. */
+class EventLoopRung {
+  public:
+    /** Schedules one slice of events and runs them; returns the count. */
+    std::uint64_t
+    Slice()
     {
-        constexpr int kEventsPerRound = 1000;
-        for (int i = 0; i < kEventsPerRound; ++i) {
+        const std::uint64_t before = sim_.EventsExecuted();
+        for (int i = 0; i < kEventsPerSlice; ++i) {
             sim_.Schedule(static_cast<DurationNs>(i % 64),
                           [this] { ++sink_; });
         }
         sim_.Run();
+        return sim_.EventsExecuted() - before;
     }
 
+    /** Whether every callback ran; reading them keeps the work live. */
+    bool AllRan() const { return sink_ == sim_.EventsExecuted(); }
+
+    /** Events executed so far, untimed slices included. */
+    std::uint64_t Events() const { return sim_.EventsExecuted(); }
+
+  private:
     Simulator sim_;
     std::uint64_t sink_ = 0;
-    std::uint64_t events_ = 0;
-};
-
-/** One MMIO round trip's events/s and wall ns per simulated second. */
-struct RoundTripRep {
-    double events_per_sec;
-    double wall_ns_per_sim_sec;
 };
 
 /**
- * @p rounds host->NIC round trips of one message, 1 µs apart: the
- * "how long does a simulated second take to compute" workload that
- * bounds every figure reproduction's runtime.
+ * Host->NIC round trips of one message, 1 µs apart: the "how long does
+ * a simulated second take to compute" workload that bounds every figure
+ * reproduction's runtime. A slice runs the simulated window that holds
+ * about kEventsPerSlice of its events.
  */
-RoundTripRep
-RunRoundTrips(int rounds)
-{
-    Simulator sim;
-    pcie::NicDram dram(sim, pcie::PcieConfig{}, 1 << 20);
-    channel::MmioQueue queue(dram, 0,
-                             QueueConfig{.capacity = 64,
-                                         .payload_size = 48});
-    channel::HostProducer producer(queue,
-                                   pcie::PteType::kWriteCombining,
-                                   pcie::PteType::kWriteThrough);
-    channel::NicConsumer consumer(queue, pcie::PteType::kWriteBack);
-    int received = 0;
-    sim.Spawn([](Simulator& s, channel::HostProducer& p,
-                 channel::NicConsumer& c, int n, int& got) -> Task<> {
+class RoundTripRung {
+  public:
+    /** Simulated time one slice covers. */
+    static constexpr DurationNs kSliceNs = 100'000;
+
+    RoundTripRung()
+        : dram_(sim_, pcie::PcieConfig{}, 1 << 20),
+          queue_(dram_, 0, QueueConfig{.capacity = 64, .payload_size = 48}),
+          producer_(queue_, pcie::PteType::kWriteCombining,
+                    pcie::PteType::kWriteThrough),
+          consumer_(queue_, pcie::PteType::kWriteBack)
+    {
+        sim_.Spawn(RoundTrips(sim_, producer_, consumer_, lost_));
+    }
+
+    /** Runs one slice; returns the events it executed. */
+    std::uint64_t
+    Slice()
+    {
+        const std::uint64_t before = sim_.EventsExecuted();
+        sim_.RunFor(kSliceNs);
+        return sim_.EventsExecuted() - before;
+    }
+
+    /** Whether every poll found its message. */
+    bool LostNone() const { return lost_ == 0; }
+
+    /** Events executed so far, untimed slices included. */
+    std::uint64_t Events() const { return sim_.EventsExecuted(); }
+
+  private:
+    static Task<>
+    RoundTrips(Simulator& s, channel::HostProducer& p,
+               channel::NicConsumer& c, int& lost)
+    {
         std::vector<Bytes> batch;
         batch.push_back(Msg(7));
         Bytes payload;
-        for (int round = 0; round < n; ++round) {
+        for (;;) {
             co_await p.Send(batch);
             co_await s.Delay(1'000);
-            if (co_await c.PollInto(payload)) ++got;
+            if (!co_await c.PollInto(payload)) ++lost;
         }
-    }(sim, producer, consumer, rounds, received));
+    }
 
+    Simulator sim_;
+    pcie::NicDram dram_;
+    channel::MmioQueue queue_;
+    channel::HostProducer producer_;
+    channel::NicConsumer consumer_;
+    int lost_ = 0;
+};
+
+/** Times one slice of @p rung; returns its events/s. */
+template <typename Rung>
+double
+SliceRate(Rung& rung)
+{
     const auto t0 = std::chrono::steady_clock::now();
-    sim.Run();
+    const std::uint64_t events = rung.Slice();
     const auto t1 = std::chrono::steady_clock::now();
-    WAVE_ASSERT(received == rounds, "a round trip lost its message");
-    const double wall_ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count();
-    return RoundTripRep{
-        static_cast<double>(sim.EventsExecuted()) / (wall_ns / 1e9),
-        wall_ns / (sim.Now().ns() / 1e9)};
+    return static_cast<double>(events) /
+           std::chrono::duration<double>(t1 - t0).count();
+}
+
+/** The median of @p samples (the upper one for an even count). */
+double
+Median(std::vector<double> samples)
+{
+    const auto mid = samples.begin() + static_cast<long>(samples.size() / 2);
+    std::nth_element(samples.begin(), mid, samples.end());
+    return *mid;
 }
 
 /**
- * Wall-clock rates of the event loop and the MMIO round trip, and the
- * event loop's steady-state allocation rate.
+ * Wall-clock rates of the reference queue, the event loop and the MMIO
+ * round trip, and the event loop's steady-state allocation rate.
  *
- * The two rungs alternate, rep by rep, and each reports its best rep:
- * the first reps also warm the CPU governor out of its low-frequency
- * state, and peak throughput is the stable estimator a regression gate
- * needs (the noise is all one-sided). Alternating puts both bests in the
- * same stretch of machine load, so their ratio, which tools/bench_gate.py
- * gates, cancels it. AllocGuard counts global operator new calls during
- * the event-loop reps only — the dynamic check behind W101's
- * "allocation-free steady state" claim.
+ * The three rungs take turns, one short slice each, and each reports its
+ * median slice rate. A change in machine load lasts longer than a turn,
+ * so every rung sees the same mix of it, and the ratios to the
+ * reference, which tools/bench_gate.py gates, cancel it; the median
+ * drops slices that a preemption hit. The round trip's ratio to the
+ * event loop is reported too, ungated: a per-event saving speeds up its
+ * reference more than the round trip. AllocGuard counts global operator
+ * new calls during the event-loop slices only — the dynamic check
+ * behind W101's "allocation-free steady state" claim.
  */
 int
 RunJsonMode(const bench::JsonCliArgs& args)
 {
-    const int reps = args.quick ? 5 : 3;
-    const int loop_rounds = args.quick ? 200 : 1000;
-    const int roundtrip_rounds = args.quick ? 5'000 : 20'000;
+    const std::size_t slices = args.quick ? 400 : 2000;
 
+    ReferenceQueueRung ref;
     EventLoopRung loop;
+    RoundTripRung roundtrip;
+    // An untimed slice each levels queue capacities and the frame pool
+    // off, so the timed ones run as a long simulation would.
+    ref.Slice();
+    loop.Slice();
+    roundtrip.Slice();
+    const std::uint64_t loop_events_before = loop.Events();
+    const std::uint64_t roundtrip_events_before = roundtrip.Events();
+
+    std::vector<double> ref_rates;
+    std::vector<double> loop_rates;
+    std::vector<double> roundtrip_rates;
+    ref_rates.reserve(slices);
+    loop_rates.reserve(slices);
+    roundtrip_rates.reserve(slices);
     std::uint64_t loop_allocs = 0;
-    double loop_rate = 0.0;
-    RoundTripRep roundtrip{0.0, 0.0};
-    for (int rep = 0; rep < reps; ++rep) {
-        const sim::AllocGuard guard;
-        loop_rate = std::max(loop_rate, loop.Rep(loop_rounds));
-        loop_allocs += guard.Allocations();
-        const RoundTripRep r = RunRoundTrips(roundtrip_rounds);
-        roundtrip.events_per_sec =
-            std::max(roundtrip.events_per_sec, r.events_per_sec);
-        roundtrip.wall_ns_per_sim_sec =
-            rep == 0 ? r.wall_ns_per_sim_sec
-                     : std::min(roundtrip.wall_ns_per_sim_sec,
-                                r.wall_ns_per_sim_sec);
+    for (std::size_t i = 0; i < slices; ++i) {
+        ref_rates.push_back(SliceRate(ref));
+        {
+            const sim::AllocGuard guard;
+            loop_rates.push_back(SliceRate(loop));
+            loop_allocs += guard.Allocations();
+        }
+        roundtrip_rates.push_back(SliceRate(roundtrip));
     }
+    WAVE_ASSERT(ref.Ordered(), "the reference queue popped out of order");
+    WAVE_ASSERT(loop.AllRan(), "a callback did not run");
+    WAVE_ASSERT(roundtrip.LostNone(), "a round trip lost its message");
+
+    const double ref_rate = Median(ref_rates);
+    const double loop_rate = Median(loop_rates);
+    const double roundtrip_rate = Median(roundtrip_rates);
+    const double roundtrip_events_per_slice =
+        static_cast<double>(roundtrip.Events() - roundtrip_events_before) /
+        static_cast<double>(slices);
+    const double slice_sim_s = sim::ToSec(RoundTripRung::kSliceNs);
 
     bench::BenchJson json("simcore");
     json.Add("events_per_sec", loop_rate, "1/s");
     json.Add("allocs_per_event",
              static_cast<double>(loop_allocs) /
-                 static_cast<double>(loop.Events()),
+                 static_cast<double>(loop.Events() - loop_events_before),
              "1/event");
-    json.Add("wall_ns_per_sim_sec", roundtrip.wall_ns_per_sim_sec,
+    json.Add("wall_ns_per_sim_sec",
+             roundtrip_events_per_slice / roundtrip_rate * 1e9 / slice_sim_s,
              "ns/sim-s");
-    json.Add("roundtrip_events_per_sec", roundtrip.events_per_sec, "1/s");
-    json.Add("roundtrip_vs_event_loop_speedup",
-             roundtrip.events_per_sec / loop_rate, "x");
+    json.Add("roundtrip_events_per_sec", roundtrip_rate, "1/s");
+    json.Add("ref_events_per_sec", ref_rate, "1/s");
+    json.Add("event_loop_vs_ref_speedup", loop_rate / ref_rate, "x");
+    json.Add("roundtrip_vs_ref_speedup", roundtrip_rate / ref_rate, "x");
+    json.Add("roundtrip_vs_event_loop_speedup", roundtrip_rate / loop_rate,
+             "x");
     return json.WriteTo(args.json_path) ? 0 : 1;
 }
 

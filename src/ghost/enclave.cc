@@ -88,11 +88,7 @@ Enclave::RestartAgent()
 
     // Re-pull from the source of truth: re-announce every runnable
     // thread so the fresh policy rebuilds its run queue (§6).
-    for (auto& [tid, record] : kernel_->Threads().All()) {
-        if (record.state == ThreadState::kRunnable) {
-            kernel_->ReannounceThread(tid);
-        }
-    }
+    kernel_->ReannounceAll();
 }
 
 // wave-lifetime(spawn-safe: only `this` is borrowed; the enclave owns agent, supervisor, and watchdog wiring and outlives the simulator run)

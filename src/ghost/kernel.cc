@@ -81,20 +81,12 @@ KernelSched::WakeThread(Tid tid)
 }
 
 void
-KernelSched::ReannounceThread(Tid tid)
-{
-    ThreadRecord* rec = threads_.Find(tid);
-    WAVE_ASSERT(rec != nullptr, "re-announcing unknown tid %d", tid);
-    if (rec->state != ThreadState::kRunnable) return;
-    sim_.Spawn(SendEvent(MsgType::kThreadWakeup, tid, rec->last_core));
-}
-
-void
 KernelSched::ReannounceAll()
 {
     for (auto& [tid, rec] : threads_.All()) {
-        (void)rec;  // ReannounceThread re-checks runnability itself
-        ReannounceThread(tid);
+        if (rec.state == ThreadState::kRunnable) {
+            sim_.Spawn(SendEvent(MsgType::kThreadWakeup, tid, rec.last_core));
+        }
     }
 }
 
@@ -129,72 +121,48 @@ sim::Task<ThreadRecord*>
 KernelSched::CommitDecision(int core, const PendingDecision& pd)
 {
     co_await sim_.Delay(costs_.commit_ns);
-    if (pd.decision.type == DecisionType::kIdle) {
-        ++stats_.commits_ok;
-        WAVE_CHECK_HOOK({
-            if (protocol_ != nullptr) {
-                protocol_->OnCommitDecision(
-                    this, pd.txn_id, /*tid=*/-1, /*run_decision=*/false,
-                    /*committed=*/true, "KernelSched::CommitDecision[idle]");
-            }
-        });
-        co_await transport_.HostSendOutcome(
-            core, {pd.txn_id, api::TxnStatus::kCommitted});
-        co_return nullptr;
-    }
-    if (injector_ != nullptr && injector_->ShouldFailCommit()) {
+    const bool run = pd.decision.type != DecisionType::kIdle;
+    ThreadRecord* rec = nullptr;
+    api::TxnStatus status = api::TxnStatus::kCommitted;
+    [[maybe_unused]] const char* site = "KernelSched::CommitDecision[idle]";
+    if (run && injector_ != nullptr && injector_->ShouldFailCommit()) {
         // Injected commit-failure burst: reject the transaction without
         // touching thread state. The agent must requeue the thread and
         // recover, exactly as for an organic stale-state failure.
-        ++stats_.commits_failed;
-        WAVE_CHECK_HOOK({
-            if (protocol_ != nullptr) {
-                protocol_->OnCommitDecision(
-                    this, pd.txn_id, pd.decision.tid,
-                    /*run_decision=*/true, /*committed=*/false,
-                    "KernelSched::CommitDecision[injected]");
-            }
-        });
-        co_await transport_.HostSendOutcome(
-            core, {pd.txn_id, api::TxnStatus::kFailedRejected});
-        co_return nullptr;
+        status = api::TxnStatus::kFailedRejected;
+        site = "KernelSched::CommitDecision[injected]";
+    } else if (run) {
+        rec = threads_.Find(pd.decision.tid);
+        site = "KernelSched::CommitDecision";
+        if (rec == nullptr || rec->state != ThreadState::kRunnable) {
+            // Atomic-commit failure: the thread exited, is already
+            // running elsewhere, or blocked concurrently. Host state is
+            // untouched.
+            rec = nullptr;
+            status = api::TxnStatus::kFailedStale;
+            site = "KernelSched::CommitDecision[failed]";
+        }
     }
-    ThreadRecord* rec = threads_.Find(pd.decision.tid);
-    if (rec == nullptr || rec->state != ThreadState::kRunnable) {
-        // Atomic-commit failure: the thread exited, is already running
-        // elsewhere, or blocked concurrently. Host state is untouched.
-        ++stats_.commits_failed;
-        WAVE_CHECK_HOOK({
-            if (protocol_ != nullptr) {
-                protocol_->OnCommitDecision(
-                    this, pd.txn_id, pd.decision.tid,
-                    /*run_decision=*/true, /*committed=*/false,
-                    "KernelSched::CommitDecision[failed]");
-            }
-        });
-        WAVE_TRACE_EVENT(&sim_, "ghost",
-                         "commit FAILED txn=%llu tid=%d core=%d",
-                         static_cast<unsigned long long>(pd.txn_id),
-                         pd.decision.tid, core);
-        co_await transport_.HostSendOutcome(
-            core, {pd.txn_id, api::TxnStatus::kFailedStale});
-        co_return nullptr;
-    }
-    ++stats_.commits_ok;
+    const bool committed = status == api::TxnStatus::kCommitted;
+    ++(committed ? stats_.commits_ok : stats_.commits_failed);
     WAVE_CHECK_HOOK({
         if (protocol_ != nullptr) {
-            protocol_->OnCommitDecision(
-                this, pd.txn_id, pd.decision.tid, /*run_decision=*/true,
-                /*committed=*/true, "KernelSched::CommitDecision");
+            protocol_->OnCommitDecision(this, pd.txn_id,
+                                        run ? pd.decision.tid : -1, run,
+                                        committed, site);
         }
     });
-    WAVE_TRACE_EVENT(&sim_, "ghost", "commit txn=%llu tid=%d core=%d",
-                     static_cast<unsigned long long>(pd.txn_id),
-                     pd.decision.tid, core);
-    rec->state = ThreadState::kRunning;
-    rec->last_core = core;
-    co_await transport_.HostSendOutcome(
-        core, {pd.txn_id, api::TxnStatus::kCommitted});
+    if (run && status != api::TxnStatus::kFailedRejected) {
+        WAVE_TRACE_EVENT(&sim_, "ghost", "commit%s txn=%llu tid=%d core=%d",
+                         committed ? "" : " FAILED",
+                         static_cast<unsigned long long>(pd.txn_id),
+                         pd.decision.tid, core);
+    }
+    if (rec != nullptr) {
+        rec->state = ThreadState::kRunning;
+        rec->last_core = core;
+    }
+    co_await transport_.HostSendOutcome(core, {pd.txn_id, status});
     co_return rec;
 }
 

@@ -96,14 +96,8 @@ class KernelSched {
     void WakeThread(Tid tid);
 
     /**
-     * Re-announces a runnable thread to the agent (a wakeup message
-     * without a state change). Used when a restarted agent re-pulls
-     * scheduling state from the kernel — the source of truth (§6).
-     */
-    void ReannounceThread(Tid tid);
-
-    /**
-     * Re-announces every runnable thread. This is the recovery path of
+     * Re-announces every runnable thread to the agent (a wakeup message
+     * without a state change). This is the recovery path of
      * §3.3/§6: after the watchdog kills a wedged agent and a fresh
      * agent (restart or on-host fallback) attaches, the kernel replays
      * its runnable set so no thread is stranded in the dead agent's

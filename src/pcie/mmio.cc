@@ -286,10 +286,7 @@ HostMmioMapping::Write(std::size_t offset, const void* src, std::size_t n)
         if (first_line == last_line) {
             wc_active_ = true;
             wc_line_ = first_line;
-            WcStore& store = wc_stores_.emplace_back();
-            store.offset = offset;
-            store.len = n;
-            std::memcpy(store.data.data(), src, n);
+            wc_stores_.emplace_back(offset, src, n);
             WAVE_CHECK_HOOK({
                 if (auto* checker = dram_.Checker()) {
                     checker->OnWcBuffered(&dram_.Backing(), offset, n,

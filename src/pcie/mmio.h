@@ -33,6 +33,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "pcie/config.h"
@@ -268,11 +269,19 @@ class HostMmioMapping {
 
     // Write-combining buffer: at most one line being combined. Each
     // buffered store spans at most one line, so its payload fits a
-    // fixed-size slot — no per-store heap allocation.
+    // fixed-size slot — no per-store heap allocation. A store copies in
+    // only its `len` bytes; nothing reads past them, so the slot is not
+    // zero-filled.
     struct WcStore {
-        std::size_t offset = 0;
-        std::size_t len = 0;
-        std::array<std::byte, PcieConfig::kLineSize> data{};
+        WcStore(std::size_t at, const void* src, std::size_t n)
+            : offset(at), len(n)
+        {
+            std::memcpy(data.data(), src, n);
+        }
+
+        std::size_t offset;
+        std::size_t len;
+        std::array<std::byte, PcieConfig::kLineSize> data;
     };
     bool wc_active_ = false;
     std::size_t wc_line_ = 0;

@@ -7,10 +7,11 @@ void
 FifoPolicy::Enqueue(ghost::Tid tid, bool front)
 {
     if (dead_.count(tid) > 0 || queued_.count(tid) > 0) return;
+    auto& queue = queues_[QueueOf(tid)];
     if (front) {
-        run_queue_.push_front(tid);
+        queue.push_front(tid);
     } else {
-        run_queue_.push_back(tid);
+        queue.push_back(tid);
     }
     queued_.insert(tid);
 }
@@ -23,7 +24,7 @@ FifoPolicy::OnMessage(const ghost::GhostMessage& message)
       case ghost::MsgType::kThreadWakeup:
       case ghost::MsgType::kThreadYield:
       case ghost::MsgType::kThreadPreempted:
-        Enqueue(message.tid);
+        Enqueue(message.tid, /*front=*/false);
         break;
       case ghost::MsgType::kThreadBlocked:
         break;  // it will come back with a wakeup
@@ -36,16 +37,30 @@ FifoPolicy::OnMessage(const ghost::GhostMessage& message)
 std::optional<ghost::GhostDecision>
 FifoPolicy::PickNext(int core, sim::TimeNs /*now*/)
 {
-    while (!run_queue_.empty()) {
-        const ghost::Tid tid = run_queue_.front();
-        run_queue_.pop_front();
+    for (std::size_t q = 0; q < queues_.size(); ++q) {
+        if (queues_[q].empty()) continue;  // idle agents ask for every core
+        if (auto decision = PickFrom(q, core)) {
+            decision->slo_class = static_cast<std::uint32_t>(q);
+            return decision;
+        }
+    }
+    return std::nullopt;
+}
+
+std::optional<ghost::GhostDecision>
+FifoPolicy::PickFrom(std::size_t q, int core)
+{
+    auto& queue = queues_[q];
+    while (!queue.empty()) {
+        const ghost::Tid tid = queue.front();
+        queue.pop_front();
         queued_.erase(tid);
         if (dead_.count(tid) > 0) continue;
         ghost::GhostDecision decision{};
         decision.type = ghost::DecisionType::kRunThread;
         decision.tid = tid;
         decision.core = core;
-        decision.slice_ns = 0;  // run to completion
+        decision.slice_ns = slice_ns_;
         return decision;
     }
     return std::nullopt;

@@ -20,51 +20,33 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "sched/fifo.h"
+#include "sim/logging.h"
 #include "sim/time.h"
 
 namespace wave::sched {
 
-/** Single-queue Shinjuku: FIFO + time-slice preemption. */
+/** Single-queue Shinjuku: the FIFO run queue + time-slice preemption. */
 class ShinjukuPolicy : public FifoPolicy {
   public:
     explicit ShinjukuPolicy(sim::DurationNs slice_ns = 30'000)
-        : slice_ns_(slice_ns)
+        : FifoPolicy(slice_ns, 1)
     {
     }
 
     std::string Name() const override { return "shinjuku"; }
-
-    std::optional<ghost::GhostDecision>
-    PickNext(int core, sim::TimeNs now) override
-    {
-        auto decision = FifoPolicy::PickNext(core, now);
-        if (decision) {
-            decision->slice_ns = slice_ns_;
-        }
-        return decision;
-    }
-
-    bool
-    ShouldPreempt(int /*core*/, ghost::Tid /*running*/,
-                  sim::DurationNs ran_for) const override
-    {
-        // Preempt only when someone is waiting; otherwise let it run.
-        return ran_for > slice_ns_ && !run_queue_.empty();
-    }
-
-  private:
-    sim::DurationNs slice_ns_;
 };
 
-/** Multi-queue Shinjuku: per-SLO-class queues, strictest first. */
-class MultiQueueShinjukuPolicy : public ghost::SchedPolicy {
+/**
+ * Multi-queue Shinjuku: per-SLO-class queues, strictest first. Past its
+ * slice, even a strict thread yields to a lenient waiter (round robin).
+ */
+class MultiQueueShinjukuPolicy : public FifoPolicy {
   public:
     explicit MultiQueueShinjukuPolicy(sim::DurationNs slice_ns = 30'000,
                                       int num_classes = 2)
-        : slice_ns_(slice_ns), queues_(static_cast<std::size_t>(num_classes))
+        : FifoPolicy(slice_ns, static_cast<std::size_t>(num_classes))
     {
     }
 
@@ -75,31 +57,37 @@ class MultiQueueShinjukuPolicy : public ghost::SchedPolicy {
      * (class 0 is strictest). Called by the RPC stack when it steers a
      * request — the "network insight" the SmartNIC placement enables.
      */
-    void SetThreadSlo(ghost::Tid tid, std::uint32_t slo_class);
+    void
+    SetThreadSlo(ghost::Tid tid, std::uint32_t slo_class)
+    {
+        WAVE_ASSERT(slo_class < queues_.size(), "slo class %u out of range",
+                    slo_class);
+        slo_of_[tid] = slo_class;
+    }
 
-    void OnMessage(const ghost::GhostMessage& message) override;
-    std::optional<ghost::GhostDecision> PickNext(int core,
-                                                 sim::TimeNs now) override;
-    void OnDecisionFailed(const ghost::GhostDecision& decision) override;
-
-    bool
-    ShouldPreempt(int /*core*/, ghost::Tid running,
-                  sim::DurationNs ran_for) const override;
-
-    std::size_t RunQueueDepth() const override;
+    void
+    OnMessage(const ghost::GhostMessage& message) override
+    {
+        FifoPolicy::OnMessage(message);
+        if (message.type == ghost::MsgType::kThreadDead) {
+            slo_of_.erase(message.tid);
+        }
+    }
 
     /** Multi-queue bookkeeping costs a bit more per decision. */
     sim::DurationNs DecisionComputeNs() const override { return 220; }
 
-  private:
-    std::uint32_t ClassOf(ghost::Tid tid) const;
-    void Enqueue(ghost::Tid tid, bool front = false);
+  protected:
+    /** A thread's SLO class; untagged threads are the most lenient. */
+    std::size_t
+    QueueOf(ghost::Tid tid) const override
+    {
+        auto it = slo_of_.find(tid);
+        return it == slo_of_.end() ? queues_.size() - 1 : it->second;
+    }
 
-    sim::DurationNs slice_ns_;
-    std::vector<std::deque<ghost::Tid>> queues_;  ///< by SLO class
+  private:
     std::map<ghost::Tid, std::uint32_t> slo_of_;
-    std::unordered_set<ghost::Tid> queued_;
-    std::unordered_set<ghost::Tid> dead_;
 };
 
 }  // namespace wave::sched

@@ -1,88 +1,24 @@
 // wave-domain: neutral
 #include "sched/vm_policy.h"
 
-#include <deque>
-
 #include "sim/logging.h"
 
 namespace wave::sched {
 
 void
-VmPolicy::Enqueue(ghost::Tid tid)
+VmPolicy::PinVcpu(ghost::Tid tid, int core)
 {
-    if (dead_.count(tid) > 0 || queued_.count(tid) > 0) return;
-    auto it = core_of_.find(tid);
-    WAVE_ASSERT(it != core_of_.end(), "vCPU %d was never pinned", tid);
-    runnable_[it->second].push_back(tid);
-    queued_.insert(tid);
-}
-
-void
-VmPolicy::OnMessage(const ghost::GhostMessage& message)
-{
-    switch (message.type) {
-      case ghost::MsgType::kThreadCreated:
-      case ghost::MsgType::kThreadWakeup:
-      case ghost::MsgType::kThreadYield:
-      case ghost::MsgType::kThreadPreempted:
-        Enqueue(message.tid);
-        break;
-      case ghost::MsgType::kThreadBlocked:
-        break;
-      case ghost::MsgType::kThreadDead:
-        dead_.insert(message.tid);
-        break;
-    }
-}
-
-std::optional<ghost::GhostDecision>
-VmPolicy::PickNext(int core, sim::TimeNs /*now*/)
-{
-    auto it = runnable_.find(core);
-    if (it == runnable_.end()) return std::nullopt;
-    auto& queue = it->second;
-    while (!queue.empty()) {
-        const ghost::Tid tid = queue.front();
-        queue.pop_front();
-        queued_.erase(tid);
-        if (dead_.count(tid) > 0) continue;
-        ghost::GhostDecision decision{};
-        decision.type = ghost::DecisionType::kRunThread;
-        decision.tid = tid;
-        decision.core = core;
-        decision.slice_ns = quantum_ns_;
-        return decision;
-    }
-    return std::nullopt;
-}
-
-void
-VmPolicy::OnDecisionFailed(const ghost::GhostDecision& decision)
-{
-    if (dead_.count(decision.tid) > 0 || queued_.count(decision.tid) > 0) {
-        return;
-    }
-    runnable_[decision.core].push_front(decision.tid);
-    queued_.insert(decision.tid);
-}
-
-bool
-VmPolicy::ShouldPreempt(int core, ghost::Tid /*running*/,
-                        sim::DurationNs ran_for) const
-{
-    if (ran_for <= quantum_ns_) return false;
-    auto it = runnable_.find(core);
-    return it != runnable_.end() && !it->second.empty();
+    core_of_[tid] = core;
+    const auto q = static_cast<std::size_t>(core);
+    if (queues_.size() <= q) queues_.resize(q + 1);
 }
 
 std::size_t
-VmPolicy::RunQueueDepth() const
+VmPolicy::QueueOf(ghost::Tid tid) const
 {
-    std::size_t depth = 0;
-    for (const auto& [core, queue] : runnable_) {
-        depth += queue.size();
-    }
-    return depth;
+    auto it = core_of_.find(tid);
+    WAVE_ASSERT(it != core_of_.end(), "vCPU %d was never pinned", tid);
+    return static_cast<std::size_t>(it->second);
 }
 
 }  // namespace wave::sched

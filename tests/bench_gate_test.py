@@ -25,12 +25,13 @@ LADDER_RATES = {
     "heap_events_per_sec": 19.7e6,
 }
 
-# Absolute event-loop and MMIO round-trip rates of an unloaded
-# bench_queue_primitives run (same VM). The simcore report still emits
-# them beside their same-run ratio.
+# Absolute reference-queue, event-loop and MMIO round-trip rates of an
+# unloaded bench_queue_primitives run (same VM). The simcore report
+# still emits them beside their same-run ratios.
 SIMCORE_RATES = {
-    "events_per_sec": 21.4e6,
-    "roundtrip_events_per_sec": 14.0e6,
+    "ref_events_per_sec": 274e6,
+    "events_per_sec": 34.4e6,
+    "roundtrip_events_per_sec": 18.2e6,
 }
 
 
@@ -78,6 +79,21 @@ class BenchGateTest(unittest.TestCase):
         # rates fall 40% and their same-run ratio holds.
         fresh = metrics(SIMCORE_BASELINE)
         fresh.update({n: 0.6 * v for n, v in SIMCORE_RATES.items()})
+        self.assertEqual(self.gate(self.report(fresh), SIMCORE_BASELINE), 0)
+
+    def testSimcoreRatioDropFails(self):
+        # Either rung falling 30% behind the reference queue fails.
+        for name in ("event_loop_vs_ref_speedup", "roundtrip_vs_ref_speedup"):
+            fresh = metrics(SIMCORE_BASELINE)
+            fresh[name] *= 0.7
+            self.assertEqual(
+                self.gate(self.report(fresh), SIMCORE_BASELINE), 1, name)
+
+    def testRoundTripOverEventLoopIsNotGated(self):
+        # The round trip's ratio to the event loop falls whenever the
+        # event core gets faster; the report keeps it, the gate ignores it.
+        fresh = metrics(SIMCORE_BASELINE)
+        fresh["roundtrip_vs_event_loop_speedup"] = 0.1
         self.assertEqual(self.gate(self.report(fresh), SIMCORE_BASELINE), 0)
 
     def testAllocsOverBudgetFail(self):

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <vector>
+
 #include "sched/fifo.h"
 #include "sched/shinjuku.h"
 #include "sched/vm_policy.h"
@@ -178,6 +181,18 @@ TEST(MultiQueue, PreemptionConsidersClassOfWaiters)
     EXPECT_FALSE(policy.ShouldPreempt(0, 1, 29'000));
 }
 
+TEST(MultiQueue, StrictThreadPastItsSliceYieldsToALenientWaiter)
+{
+    MultiQueueShinjukuPolicy policy(30'000, 2);
+    policy.SetThreadSlo(1, 0);  // running, strict
+    policy.SetThreadSlo(2, 1);  // waiting, lenient
+    EXPECT_FALSE(policy.ShouldPreempt(0, 1, 31'000)) << "nothing waits";
+    policy.OnMessage(Msg(MsgType::kThreadCreated, 2));
+    EXPECT_FALSE(policy.ShouldPreempt(0, 1, 29'000)) << "inside slice";
+    EXPECT_TRUE(policy.ShouldPreempt(0, 1, 31'000))
+        << "past its slice, a strict thread yields to any waiter";
+}
+
 TEST(MultiQueue, DepthSumsAcrossClasses)
 {
     MultiQueueShinjukuPolicy policy(30'000, 2);
@@ -229,16 +244,63 @@ TEST(VmPolicy, DecisionsCarryTheQuantum)
     EXPECT_EQ(d->slice_ns, 5'000'000u);
 }
 
+TEST(VmPolicy, FailedCommitRequeuesAtTheFrontOfItsCore)
+{
+    VmPolicy policy(5'000'000);
+    policy.PinVcpu(1, 0);
+    policy.PinVcpu(2, 0);
+    policy.PinVcpu(3, 1);
+    policy.OnMessage(Msg(MsgType::kThreadCreated, 1));
+    policy.OnMessage(Msg(MsgType::kThreadCreated, 2));
+    policy.OnMessage(Msg(MsgType::kThreadCreated, 3));
+    auto d = policy.PickNext(0, sim::TimeNs{0});
+    ASSERT_TRUE(d.has_value());
+    ASSERT_EQ(d->tid, 1);
+    policy.OnDecisionFailed(*d);
+    EXPECT_EQ(policy.RunQueueDepth(), 3u);
+    EXPECT_EQ(policy.PickNext(0, sim::TimeNs{0})->tid, 1) << "order kept";
+    EXPECT_EQ(policy.PickNext(0, sim::TimeNs{0})->tid, 2);
+    EXPECT_FALSE(policy.PickNext(0, sim::TimeNs{0}).has_value());
+    EXPECT_EQ(policy.PickNext(1, sim::TimeNs{0})->tid, 3);
+}
+
 // Property sweep: for any interleaving of create/block/wake messages,
 // a policy never returns a thread that is blocked or dead, and depth
 // equals the number of runnable-but-unpicked threads.
-class PolicyInvariantTest : public ::testing::TestWithParam<int> {};
+enum class Kind { kShinjuku, kFifo, kMultiQueue };  // indexes `policies`
+
+struct InvariantCase {
+    Kind kind;
+    int seed;
+};
+
+// Prints the seed alone; the instantiation's name says the policy.
+void
+PrintTo(const InvariantCase& c, std::ostream* os)
+{
+    *os << c.seed;
+}
+
+std::vector<InvariantCase>
+CasesFor(Kind kind)
+{
+    std::vector<InvariantCase> cases;
+    for (int seed = 1; seed <= 8; ++seed) cases.push_back({kind, seed});
+    return cases;
+}
+
+class PolicyInvariantTest : public ::testing::TestWithParam<InvariantCase> {
+};
 
 TEST_P(PolicyInvariantTest, NeverSchedulesNonRunnableThreads)
 {
-    const int seed = GetParam();
-    sim::Rng rng(static_cast<std::uint64_t>(seed));
-    ShinjukuPolicy policy(30'000);
+    const InvariantCase c = GetParam();
+    sim::Rng rng(static_cast<std::uint64_t>(c.seed));
+    ShinjukuPolicy shinjuku(30'000);
+    FifoPolicy fifo;
+    MultiQueueShinjukuPolicy multi_queue(30'000, 2);
+    ghost::SchedPolicy* const policies[] = {&shinjuku, &fifo, &multi_queue};
+    ghost::SchedPolicy& policy = *policies[static_cast<int>(c.kind)];
 
     enum class S { kQueuedOrRunning, kBlocked, kDead };
     std::map<Tid, S> state;
@@ -250,6 +312,8 @@ TEST_P(PolicyInvariantTest, NeverSchedulesNonRunnableThreads)
             const Tid tid = static_cast<Tid>(state.size() + 1);
             state[tid] = S::kQueuedOrRunning;
             pickable.insert(tid);
+            // Only the multi-queue policy reads the tag: both classes fill.
+            multi_queue.SetThreadSlo(tid, static_cast<std::uint32_t>(tid % 2));
             policy.OnMessage(Msg(MsgType::kThreadCreated, tid));
         } else {
             // Pick a random existing thread.
@@ -295,7 +359,11 @@ TEST_P(PolicyInvariantTest, NeverSchedulesNonRunnableThreads)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PolicyInvariantTest,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+                         ::testing::ValuesIn(CasesFor(Kind::kShinjuku)));
+INSTANTIATE_TEST_SUITE_P(FifoSeeds, PolicyInvariantTest,
+                         ::testing::ValuesIn(CasesFor(Kind::kFifo)));
+INSTANTIATE_TEST_SUITE_P(MultiQueueSeeds, PolicyInvariantTest,
+                         ::testing::ValuesIn(CasesFor(Kind::kMultiQueue)));
 
 }  // namespace
 }  // namespace wave::sched

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "stats/histogram.h"
-#include "stats/summary.h"
 #include "stats/table.h"
 
 namespace wave::stats {
@@ -231,40 +230,6 @@ TEST(Table, FmtFormats)
 {
     EXPECT_EQ(Table::Fmt("%.1f%%", 4.65), "4.7%");
     EXPECT_EQ(Table::Fmt("%d", 42), "42");
-}
-
-}  // namespace
-}  // namespace wave::stats
-
-namespace wave::stats {
-namespace {
-
-TEST(Summary, ExtractsThePercentileSet)
-{
-    Histogram h;
-    for (std::uint64_t v = 1; v <= 1000; ++v) h.Record(v * 100);
-    const Summary s = Summary::From(h);
-    EXPECT_EQ(s.count, 1000u);
-    EXPECT_NEAR(static_cast<double>(s.p50), 50'000, 2'000);
-    EXPECT_NEAR(static_cast<double>(s.p99), 99'000, 4'000);
-    EXPECT_EQ(s.max, 100'000u);
-    EXPECT_NEAR(s.mean, 50'050, 100);
-}
-
-TEST(Summary, FormatsReadably)
-{
-    Histogram h;
-    h.Record(12'000);
-    const std::string out = Summary::From(h).ToString();
-    EXPECT_NE(out.find("n=1"), std::string::npos);
-    EXPECT_NE(out.find("p99"), std::string::npos);
-}
-
-TEST(Summary, EmptyHistogramIsAllZero)
-{
-    const Summary s = Summary::From(Histogram{});
-    EXPECT_EQ(s.count, 0u);
-    EXPECT_EQ(s.p99, 0u);
 }
 
 }  // namespace
