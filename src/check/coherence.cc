@@ -103,7 +103,11 @@ CoherenceChecker::OnRead(const void* region, Domain domain,
                          const char* site)
 {
     stats_.reads += 1;
-    if (n == 0) return;
+    // Neither check can fire on a stale-tolerant read outside the host
+    // domain, such as every agent flag poll: the stale-cache check needs
+    // a host read and the unflushed-WC check a read that does not
+    // tolerate staleness.
+    if (n == 0 || (domain != Domain::kHost && tolerate_stale)) return;
     Window* window = lines_.Find(region);
     if (window == nullptr) return;
     const AccessSite read{site, domain, offset, n, sim_.Now()};

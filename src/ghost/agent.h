@@ -14,7 +14,20 @@
  *   4. *prestages* decisions (no kick) for busy cores when the run
  *      queue is deep enough (§5.4),
  *   5. issues preemption decisions (with a kick) when the policy's
- *      time slice expires (Shinjuku).
+ *      time slice expires (Shinjuku),
+ *
+ * then runs the optional aux stage and pays its loop overhead.
+ *
+ * One Run() frame carries the whole pass, and it suspends only where
+ * simulated time passes: the message poll (one flag read when the queue
+ * is empty, plus a payload read per message), the per-message and
+ * per-decision compute, a commit or kick, the outcome poll (one flag
+ * read per core, plus a payload read per outcome), the aux stage and the
+ * loop overhead. Updating the core model, handling outcomes and asking
+ * the policy never suspend, so an idle pass over either binding builds
+ * two coroutine frames, the two polls', whatever the core count (an aux
+ * stage adds its own). Each core's outcomes are handled as soon as that
+ * core's poll finishes (OutcomeSink), before the next core is polled.
  */
 // wave-domain: host
 #pragma once
@@ -22,6 +35,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -136,11 +150,37 @@ class GhostAgent : public Agent {
         std::unordered_map<api::TxnId, GhostDecision> reactive;
     };
 
-    sim::Task<> HandleMessages(AgentContext& ctx);
-    sim::Task<> HandleOutcomes(AgentContext& ctx);
-    sim::Task<> IssueDecisions(AgentContext& ctx);
-    sim::Task<> IssuePrestages(AgentContext& ctx);
-    sim::Task<> IssuePreemptions(AgentContext& ctx);
+    /** Hands each core's drained outcomes to HandleOutcomes(). */
+    class OutcomeHandler final : public OutcomeSink {
+      public:
+        OutcomeHandler(GhostAgent& agent, sim::Simulator& sim)
+            : agent_(agent), sim_(sim)
+        {
+        }
+
+        void
+        OnOutcomes(int core,
+                   std::span<const api::TxnOutcome> outcomes) override
+        {
+            agent_.HandleOutcomes(core, outcomes, sim_.Now());
+        }
+
+      private:
+        GhostAgent& agent_;
+        sim::Simulator& sim_;
+    };
+
+    /**
+     * Updates the core model for @p message before the policy sees it.
+     * Returns true when a prestaged decision was adopted whose commit
+     * raced past the block, which needs a safety kick.
+     */
+    bool UpdateModel(const GhostMessage& message, sim::TimeNs now);
+
+    /** Repairs @p core's model from its drained @p outcomes. */
+    void HandleOutcomes(int core,
+                        std::span<const api::TxnOutcome> outcomes,
+                        sim::TimeNs now);
 
     CoreModel& Model(int core)
     {

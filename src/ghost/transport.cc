@@ -33,7 +33,41 @@ Iota(int n)
     return cores;
 }
 
+/**
+ * Drains up to @p max messages from @p queue, Ready() then Take() per
+ * message, into buffers of the call's own: an empty poll, the common
+ * case of an agent pass, costs one event, this frame and no allocation.
+ */
+// wave-lifetime(caller-awaits)
+template <typename Consumer>
+sim::Task<std::vector<GhostMessage>>
+DrainMessages(Consumer& queue, std::size_t max)
+{
+    std::vector<GhostMessage> out;
+    api::Bytes slot;
+    while (out.size() < max) {
+        const bool ready = co_await queue.Ready();
+        if (!ready) break;
+        co_await queue.Take(slot);
+        out.push_back(DecodeMessage(slot));
+    }
+    co_return out;
+}
+
 }  // namespace
+
+// --- SchedTransport ---
+
+// wave-lifetime(caller-awaits)
+sim::Task<>
+SchedTransport::AgentPollAllOutcomes(std::span<const int> cores,
+                                     std::size_t max, OutcomeSink& sink)
+{
+    for (const int core : cores) {
+        const auto outcomes = co_await AgentPollOutcomes(core, max);
+        if (!outcomes.empty()) sink.OnOutcomes(core, outcomes);
+    }
+}
 
 // --- WaveSchedTransport ---
 
@@ -115,17 +149,10 @@ WaveSchedTransport::InterruptReceiveCost() const
     return runtime_.PcieCfg().msix_receive_ns;
 }
 
-// wave-lifetime(caller-awaits)
 sim::Task<std::vector<GhostMessage>>
 WaveSchedTransport::AgentPollMessages(std::size_t max)
 {
-    auto raw = co_await messages_.nic->PollBatch(max);
-    std::vector<GhostMessage> out;
-    out.reserve(raw.size());
-    for (const auto& bytes : raw) {
-        out.push_back(DecodeMessage(bytes));
-    }
-    co_return out;
+    return DrainMessages(*messages_.nic, max);
 }
 
 // --- ShmSchedTransport ---
@@ -223,17 +250,10 @@ ShmSchedTransport::InterruptReceiveCost() const
     return IpiCosts().msix_receive_ns;
 }
 
-// wave-lifetime(caller-awaits)
 sim::Task<std::vector<GhostMessage>>
 ShmSchedTransport::AgentPollMessages(std::size_t max)
 {
-    std::vector<GhostMessage> out;
-    while (out.size() < max) {
-        auto bytes = co_await messages_.Poll();
-        if (!bytes) break;
-        out.push_back(DecodeMessage(*bytes));
-    }
-    co_return out;
+    return DrainMessages(messages_, max);
 }
 
 }  // namespace wave::ghost

@@ -23,6 +23,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "channel/bytes.h"
@@ -41,6 +42,19 @@ namespace wave::ghost {
 struct PendingDecision {
     api::TxnId txn_id;
     GhostDecision decision;
+};
+
+/** Takes the commit outcomes an agent pass drains, one core at a time. */
+class OutcomeSink {
+  public:
+    virtual ~OutcomeSink() = default;
+
+    /**
+     * @p outcomes were just drained from @p core's outcome queue; the
+     * span is valid for this call only.
+     */
+    virtual void OnOutcomes(int core,
+                            std::span<const api::TxnOutcome> outcomes) = 0;
 };
 
 /** Abstract host<->agent scheduling transport. */
@@ -88,6 +102,17 @@ class SchedTransport {
     /** Drains commit outcomes for @p core (POLL_TXNS_OUTCOMES). */
     virtual sim::Task<std::vector<api::TxnOutcome>> AgentPollOutcomes(
         int core, std::size_t max) = 0;
+
+    /**
+     * Drains up to @p max commit outcomes from each of @p cores in turn
+     * and hands every non-empty batch to @p sink before polling the next
+     * core, so the sink runs at the instant that core's poll finished.
+     * The default polls each core through AgentPollOutcomes(); a binding
+     * overrides it to poll every core from one coroutine.
+     */
+    virtual sim::Task<> AgentPollAllOutcomes(std::span<const int> cores,
+                                             std::size_t max,
+                                             OutcomeSink& sink);
 
     /**
      * Kicks @p core without committing anything — used to close the
@@ -155,6 +180,30 @@ class TxnSchedTransport : public SchedTransport {
     AgentPollOutcomes(int core, std::size_t max) override
     {
         return For(core).agent->PollTxnsOutcomes(max);
+    }
+
+    /**
+     * One coroutine for every core: an empty core costs its flag read's
+     * event and no frame. The batch is the call's own, because a
+     * restarted enclave's next agent polls through this transport while
+     * the killed one may still be finishing its pass.
+     */
+    // wave-lifetime(caller-awaits)
+    sim::Task<>
+    AgentPollAllOutcomes(std::span<const int> cores, std::size_t max,
+                         OutcomeSink& sink) override
+    {
+        std::vector<api::TxnOutcome> batch;
+        for (const int core : cores) {
+            AgentTxn& agent = *For(core).agent;
+            batch.clear();
+            while (batch.size() < max) {
+                const bool ready = co_await agent.OutcomeReady();
+                if (!ready) break;
+                batch.push_back(co_await agent.TakeOutcome());
+            }
+            if (!batch.empty()) sink.OnOutcomes(core, batch);
+        }
     }
 
     sim::Task<> AgentKick(int core) override { return For(core).kick->Send(); }

@@ -14,17 +14,22 @@
  * no-alloc guarantee, which wave_analyze's W101 and the AllocGuard tests
  * exist to catch.
  *
- * Each relocation is an indirect call, so a scheduled closure relocates
- * once: the Schedule* calls take the InlineFn by rvalue reference down
- * to the timing wheel, which moves it into its event node; the
- * simulator invokes it there and destroys it when the node is recycled.
- * Coroutine resumes bypass InlineFn altogether (EventNode::resume).
+ * A scheduled closure relocates once: the Schedule* calls take the
+ * InlineFn by rvalue reference down to the timing wheel, which moves it
+ * into its event node; the simulator invokes it there and destroys it
+ * when the node is recycled. A capture that is trivially copyable and
+ * trivially destructible (pointers, references, integers — most model
+ * closures) relocates with a memcpy and has no destroy op, so neither
+ * step is an indirect call; other captures and heap-fallback ones keep
+ * their relocate and destroy ops. Coroutine resumes bypass InlineFn
+ * altogether (EventNode::resume).
  */
 // wave-domain: neutral
 // wave-hot
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -50,7 +55,12 @@ class InlineFn {
                       alignof(Fn) <= kInlineAlign &&
                       std::is_nothrow_move_constructible_v<Fn>) {
             ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
-            ops_ = &kInlineOps<Fn>;
+            if constexpr (std::is_trivially_copyable_v<Fn> &&
+                          std::is_trivially_destructible_v<Fn>) {
+                ops_ = &kTrivialOps<Fn>;
+            } else {
+                ops_ = &kInlineOps<Fn>;
+            }
         } else {
             // Oversized or throwing-move captures fall back to the heap;
             // rare and setup-time only (W101 flags hot-path offenders).
@@ -84,9 +94,20 @@ class InlineFn {
   private:
     struct Ops {
         void (*invoke)(unsigned char* storage);
-        /** Move-construct dst's payload from src's, destroying src's. */
+        /**
+         * Move-construct dst's payload from src's, destroying src's.
+         * Null when the payload relocates by copying its bytes.
+         */
         void (*relocate)(unsigned char* dst, unsigned char* src) noexcept;
+        /** Null when destroying the payload is a no-op. */
         void (*destroy)(unsigned char* storage) noexcept;
+    };
+
+    template <typename Fn>
+    static constexpr Ops kTrivialOps = {
+        [](unsigned char* s) { (*reinterpret_cast<Fn*>(s))(); },
+        nullptr,
+        nullptr,
     };
 
     template <typename Fn>
@@ -114,7 +135,11 @@ class InlineFn {
     {
         ops_ = other.ops_;
         if (ops_ != nullptr) {
-            ops_->relocate(storage_, other.storage_);
+            if (ops_->relocate == nullptr) {
+                std::memcpy(storage_, other.storage_, kInlineSize);
+            } else {
+                ops_->relocate(storage_, other.storage_);
+            }
             other.ops_ = nullptr;
         }
     }
@@ -123,7 +148,7 @@ class InlineFn {
     Reset() noexcept
     {
         if (ops_ != nullptr) {
-            ops_->destroy(storage_);
+            if (ops_->destroy != nullptr) ops_->destroy(storage_);
             ops_ = nullptr;
         }
     }

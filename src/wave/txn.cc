@@ -190,27 +190,34 @@ AgentTxnEndpoint<D, O>::TxnsCommit(bool send_msix)
 
 // wave-lifetime(caller-awaits)
 template <typename D, typename O>
+sim::Task<api::TxnOutcome>
+AgentTxnEndpoint<D, O>::TakeOutcome()
+{
+    co_await outcomes_.Take(record_);
+    api::TxnOutcome outcome;
+    std::memcpy(&outcome.txn_id, record_.data(), sizeof(outcome.txn_id));
+    std::memcpy(&outcome.status, record_.data() + sizeof(api::TxnId),
+                sizeof(outcome.status));
+    WAVE_CHECK_HOOK({
+        if (protocol_ != nullptr) {
+            protocol_->OnTxnOutcomeObserved(
+                QueueOps<D>::Scope(decisions_), outcome.txn_id,
+                QueueOps<D>::kDomain, QueueOps<D>::kObserved);
+        }
+    });
+    co_return outcome;
+}
+
+// wave-lifetime(caller-awaits)
+template <typename D, typename O>
 sim::Task<std::vector<api::TxnOutcome>>
 AgentTxnEndpoint<D, O>::PollTxnsOutcomes(std::size_t max)
 {
     std::vector<api::TxnOutcome> out;
     while (out.size() < max) {
-        const bool ready = co_await outcomes_.Ready();
+        const bool ready = co_await OutcomeReady();
         if (!ready) break;
-        co_await outcomes_.Take(record_);
-        api::TxnOutcome outcome;
-        std::memcpy(&outcome.txn_id, record_.data(),
-                    sizeof(outcome.txn_id));
-        std::memcpy(&outcome.status, record_.data() + sizeof(api::TxnId),
-                    sizeof(outcome.status));
-        WAVE_CHECK_HOOK({
-            if (protocol_ != nullptr) {
-                protocol_->OnTxnOutcomeObserved(
-                    QueueOps<D>::Scope(decisions_), outcome.txn_id,
-                    QueueOps<D>::kDomain, QueueOps<D>::kObserved);
-            }
-        });
-        out.push_back(outcome);
+        out.push_back(co_await TakeOutcome());
     }
     co_return out;
 }

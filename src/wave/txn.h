@@ -7,7 +7,8 @@
  * MSI-X. The host pulls decisions with PollTxns() (prefetching them
  * first via PrefetchTxns() to hide the PCIe read, §5.4), attempts the
  * atomic commit against live kernel state, and reports each result with
- * SetTxnsOutcomes(); the agent observes results via PollTxnsOutcomes().
+ * SetTxnsOutcomes(); the agent observes results via PollTxnsOutcomes(),
+ * or one at a time with OutcomeReady() and TakeOutcome().
  *
  * The atomic-commit guarantee itself lives with the kernel subsystem
  * (e.g. ghost::KernelSched checks that the scheduled thread is still
@@ -87,6 +88,16 @@ class AgentTxnEndpoint {
      * (staged txns that did not fit remain staged).
      */
     sim::Task<std::size_t> TxnsCommit(bool send_msix);
+
+    /**
+     * Tests for a reported outcome: the outcome queue's frame-free
+     * Ready(), one event when none is queued. Bind the result to a local
+     * before testing it (see sim/task.h).
+     */
+    auto OutcomeReady() { return outcomes_.Ready(); }
+
+    /** Consumes the outcome record OutcomeReady() found. */
+    sim::Task<api::TxnOutcome> TakeOutcome();
 
     /** Drains up to @p max outcome records reported by the host. */
     sim::Task<std::vector<api::TxnOutcome>> PollTxnsOutcomes(

@@ -165,6 +165,36 @@ TEST(CoherenceChecker, UnflushedWriteCombiningReadIsReported)
     EXPECT_STREQ(violation.write.label, "HostMmioMapping::Write[WC]");
 }
 
+TEST(CoherenceChecker, StaleTolerantNicReadOverPendingWcIsOnlyCounted)
+{
+    // A flag poll reads a line whose host store may still sit in the
+    // write-combining buffer; it tolerates that (the generation simply
+    // does not match yet), so it is counted and never reported. The
+    // same read without the annotation is the lost-payload bug.
+    Fabric f;
+    pcie::HostMmioMapping host(f.dram, pcie::PteType::kWriteCombining);
+    pcie::NicLocalMapping nic(f.dram, pcie::PteType::kWriteBack);
+
+    std::uint64_t reads_before = 0;
+    RunToCompletion(f.sim, [&]() -> sim::Task<> {
+        const std::uint64_t payload = 0xabcdULL;
+        co_await host.Write(0, &payload, sizeof(payload));
+        reads_before = f.checker.Stats().reads;
+        std::uint64_t seen = 0;
+        co_await nic.Read(0, &seen, sizeof(seen), /*tolerate_stale=*/true);
+    });
+    EXPECT_EQ(f.checker.Stats().reads, reads_before + 1);
+    EXPECT_TRUE(f.checker.Violations().empty());
+
+    RunToCompletion(f.sim, [&]() -> sim::Task<> {
+        std::uint64_t seen = 0;
+        co_await nic.Read(0, &seen, sizeof(seen));
+    });
+    ASSERT_EQ(f.checker.Violations().size(), 1u);
+    EXPECT_EQ(f.checker.Violations().front().kind,
+              ViolationKind::kUnflushedWcRead);
+}
+
 TEST(CoherenceChecker, SfenceBeforeNicReadReportsNothing)
 {
     Fabric f;

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "ghost/enclave.h"
 #include "ghost/kernel.h"
 #include "ghost/transport.h"
@@ -154,6 +156,68 @@ TEST(Enclave, OtherEnclaveUnaffectedByNeighborRestart)
     EXPECT_TRUE(right.AgentAlive());
     EXPECT_GT(right_done, 1000)
         << "the right enclave never stopped scheduling";
+}
+
+/** A FIFO policy that counts its PickNext() calls. */
+class PickCountingFifo : public sched::FifoPolicy {
+  public:
+    explicit PickCountingFifo(std::uint64_t& picks) : picks_(picks) {}
+
+    std::optional<GhostDecision>
+    PickNext(int core, sim::TimeNs now) override
+    {
+        ++picks_;
+        return FifoPolicy::PickNext(core, now);
+    }
+
+  private:
+    std::uint64_t& picks_;
+};
+
+TEST(Enclave, RestartWhileTheKilledAgentPollsOutcomesMatchesItsGolden)
+{
+    // Kill and replace a 20-core enclave's agent while it waits on core
+    // 17's outcome queue. The killed agent finishes that pass over the
+    // same transport (three more polls and its loop overhead) while its
+    // replacement starts polling from the same NIC core; with 20 cores
+    // the replacement's first pass outlasts the rest of the killed one,
+    // so their Work never overlaps. The run's event stream is pinned.
+    constexpr int kCores = 20;
+    sim::Simulator sim;
+    machine::Machine machine(sim, machine::MachineConfig{.host_cores = 24});
+    WaveRuntime runtime(sim, machine, pcie::PcieConfig{},
+                        api::OptimizationConfig::Full());
+    std::uint64_t picks = 0;
+    EnclaveConfig config;
+    for (int core = 0; core < kCores; ++core) config.cores.push_back(core);
+    config.policy_factory = [&picks] {
+        return std::make_shared<PickCountingFifo>(picks);
+    };
+    Enclave enclave(runtime, config);
+    int completions = 0;
+    for (Tid tid = 1; tid <= 4; ++tid) {
+        enclave.AddThread(
+            tid, std::make_shared<YieldingWorker>(1_ms, completions));
+    }
+    enclave.Start();
+    sim.RunFor(200_us);  // four cores busy, sixteen idle: idle passes
+
+    // Every idle pass asks the policy for each idle core after its
+    // outcome poll. From there, one event finishes the loop overhead,
+    // one the next pass's message poll and 17 polls cores 0 to 16.
+    const std::uint64_t picks0 = picks;
+    while (picks == picks0) ASSERT_TRUE(sim.Step());
+    const std::uint64_t pass_picks = picks;
+    for (int i = 0; i < 2 + 17; ++i) ASSERT_TRUE(sim.Step());
+    ASSERT_EQ(picks, pass_picks) << "the pass left its outcome poll";
+    enclave.RestartAgent();
+    sim.RunFor(3_ms);
+
+    EXPECT_EQ(enclave.Generation(), 2);
+    EXPECT_TRUE(enclave.AgentAlive());
+    EXPECT_GE(completions, 4);
+    // Captured with the per-core outcome poll, before the batched one.
+    EXPECT_EQ(sim.EventHash(), 0x85b9ecc85b1d018cull);
 }
 
 }  // namespace

@@ -7,13 +7,20 @@
  */
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "ghost/agent.h"
 #include "ghost/interrupt.h"
 #include "ghost/kernel.h"
 #include "ghost/transport.h"
 #include "machine/machine.h"
 #include "sched/fifo.h"
+#include "sched/shinjuku.h"
 #include "sim/frame_pool.h"
+#include "sim/inject.h"
 #include "sim/simulator.h"
 #include "wave/runtime.h"
 
@@ -189,6 +196,48 @@ TEST_P(TransportTest, DecisionsForDifferentCoresAreIndependent)
         EXPECT_EQ(p1->decision.tid, 2);
     }(f));
     f.sim.Run();
+}
+
+/** Records every outcome batch handed to it, by core. */
+struct RecordingSink : OutcomeSink {
+    void
+    OnOutcomes(int core, std::span<const api::TxnOutcome> outcomes) override
+    {
+        for (const api::TxnOutcome& outcome : outcomes) {
+            seen.emplace_back(core, outcome.txn_id);
+        }
+    }
+
+    std::vector<std::pair<int, api::TxnId>> seen;
+};
+
+TEST_P(TransportTest, ConcurrentOutcomePollsKeepTheirOwnBatches)
+{
+    // A killed agent may still be draining outcomes while its
+    // replacement polls through the same transport. Each poll must hand
+    // its sink exactly what it took from its own cores.
+    TransportFixture f(GetParam());
+    f.sim.Spawn([](TransportFixture& fx) -> Task<> {
+        for (api::TxnId id = 1; id <= 3; ++id) {
+            co_await fx.transport->HostSendOutcome(
+                0, {id, api::TxnStatus::kCommitted});
+            co_await fx.transport->HostSendOutcome(
+                1, {100 + id, api::TxnStatus::kFailedStale});
+        }
+    }(f));
+    f.sim.RunFor(5'000);
+
+    const std::vector<int> core0{0};
+    const std::vector<int> core1{1};
+    RecordingSink sink0;
+    RecordingSink sink1;
+    f.sim.Spawn(f.transport->AgentPollAllOutcomes(core0, 8, sink0));
+    f.sim.Spawn(f.transport->AgentPollAllOutcomes(core1, 8, sink1));
+    f.sim.Run();
+
+    using Seen = std::vector<std::pair<int, api::TxnId>>;
+    EXPECT_EQ(sink0.seen, (Seen{{0, 1}, {0, 2}, {0, 3}}));
+    EXPECT_EQ(sink1.seen, (Seen{{1, 101}, {1, 102}, {1, 103}}));
 }
 
 TEST_P(TransportTest, ConcurrentMessageSendersDoNotCorruptTheQueue)
@@ -519,36 +568,213 @@ StepToPassStart(Simulator& sim, const GhostAgent& agent)
     }
 }
 
-TEST(AgentPass, IdleWavePassIsOneEventPerPollAndFewFrames)
+/**
+ * Runs an idle agent of @p cores cores over one binding for 1 ms after a
+ * 1 ms warm-up and checks an idle pass's budget: one event per poll
+ * (the message queue and each core's outcome queue) plus the loop
+ * overhead's, cores + 2 in all, and at most two coroutine frames, the
+ * message poll's and the outcome poll's, whatever the core count. The
+ * polls and the Work are frame-free awaiters, and no stage of the pass
+ * is a task of its own. The agent's Run frame, built at spawn, must fit
+ * the frame pool.
+ */
+void
+ExpectIdlePassBudget(bool wave, int cores)
 {
-    // An idle Wave agent polls its message queue and each core's outcome
-    // queue once per pass, then pays its loop overhead: one event each,
-    // cores + 2 in all. The polls and the Work are frame-free awaiters,
-    // so a pass builds only the agent's five stage tasks, the message
-    // poll's transport and PollBatch tasks, and one PollTxnsOutcomes
-    // task per core: cores + 7 frames.
-    constexpr int kCores = 16;
-    StackFixture f(/*wave=*/true, kCores);
+    const std::uint64_t oversized0 = sim::detail::FramePoolOversized();
+    StackFixture f(wave, cores);
     f.sim.RunFor(1'000'000);  // warm-up: every frame size class pooled
     StepToPassStart(f.sim, *f.agent);
 
     const std::uint64_t passes0 = f.agent->Stats().iterations;
     const std::uint64_t events0 = f.sim.EventsExecuted();
     const std::uint64_t reuses0 = sim::detail::FramePoolReuses();
-    const std::uint64_t oversized0 = sim::detail::FramePoolOversized();
     f.sim.RunFor(1'000'000);
     StepToPassStart(f.sim, *f.agent);
 
     const std::uint64_t passes = f.agent->Stats().iterations - passes0;
     const std::uint64_t events = f.sim.EventsExecuted() - events0;
     const std::uint64_t frames = sim::detail::FramePoolReuses() - reuses0;
-    ASSERT_GT(passes, 5'000u) << "an idle pass takes ~166 ns";
+    // An idle 16-core pass takes about 166 ns on Wave, 452 ns On-Host.
+    ASSERT_GT(passes, wave ? 5'000u : 1'500u);
     EXPECT_EQ(f.agent->Stats().messages, 0u);
     EXPECT_EQ(f.agent->Stats().decisions, 0u);
-    EXPECT_EQ(events, (kCores + 2) * passes);
-    EXPECT_LE(frames, (kCores + 7) * passes)
-        << frames / passes << " frames per idle pass";
+    EXPECT_EQ(events, static_cast<std::uint64_t>(cores + 2) * passes);
+    EXPECT_LE(frames, 2 * passes) << frames / passes
+                                  << " frames per idle pass";
     EXPECT_EQ(sim::detail::FramePoolOversized(), oversized0);
+}
+
+TEST(AgentPass, IdleWavePassIsOneEventPerPollAndFewFrames)
+{
+    ExpectIdlePassBudget(/*wave=*/true, 16);
+    ExpectIdlePassBudget(/*wave=*/true, 4);
+}
+
+TEST(AgentPass, IdleOnHostPassIsOneEventPerPollAndFewFrames)
+{
+    ExpectIdlePassBudget(/*wave=*/false, 16);
+    ExpectIdlePassBudget(/*wave=*/false, 4);
+}
+
+/**
+ * Forwards every call to @p inner except AgentPollAllOutcomes, which
+ * keeps SchedTransport's default of one AgentPollOutcomes() per core:
+ * the path a transport that overrides only the per-core poll takes.
+ */
+class PerCorePollTransport : public SchedTransport {
+  public:
+    explicit PerCorePollTransport(SchedTransport& inner) : inner_(inner) {}
+
+    Task<>
+    HostSendMessage(const GhostMessage& message) override
+    {
+        return inner_.HostSendMessage(message);
+    }
+
+    Task<std::optional<PendingDecision>>
+    HostPollDecision(int core, bool flush_first) override
+    {
+        return inner_.HostPollDecision(core, flush_first);
+    }
+
+    Task<>
+    HostPrefetchDecision(int core) override
+    {
+        return inner_.HostPrefetchDecision(core);
+    }
+
+    Task<>
+    HostSendOutcome(int core, const api::TxnOutcome& outcome) override
+    {
+        return inner_.HostSendOutcome(core, outcome);
+    }
+
+    CoreInterrupt&
+    InterruptFor(int core) override
+    {
+        return inner_.InterruptFor(core);
+    }
+
+    sim::DurationNs
+    InterruptReceiveCost() const override
+    {
+        return inner_.InterruptReceiveCost();
+    }
+
+    Task<std::vector<GhostMessage>>
+    AgentPollMessages(std::size_t max) override
+    {
+        return inner_.AgentPollMessages(max);
+    }
+
+    api::TxnId
+    AgentStageDecision(const GhostDecision& d) override
+    {
+        return inner_.AgentStageDecision(d);
+    }
+
+    Task<std::size_t>
+    AgentCommit(int core, bool kick) override
+    {
+        return inner_.AgentCommit(core, kick);
+    }
+
+    Task<std::vector<api::TxnOutcome>>
+    AgentPollOutcomes(int core, std::size_t max) override
+    {
+        return inner_.AgentPollOutcomes(core, max);
+    }
+
+    Task<> AgentKick(int core) override { return inner_.AgentKick(core); }
+
+    int CoreCount() const override { return inner_.CoreCount(); }
+
+  private:
+    SchedTransport& inner_;
+};
+
+/** Thread body that burns @p work per run and yields, runnable forever. */
+class YieldingBody : public ThreadBody {
+  public:
+    explicit YieldingBody(sim::DurationNs work) : work_(work) {}
+
+    Task<RunStop>
+    Run(RunContext& ctx) override
+    {
+        const auto ran = co_await ctx.interrupt.SleepInterruptible(work_);
+        co_return ran < work_ ? RunStop::kPreempted : RunStop::kYielded;
+    }
+
+  private:
+    sim::DurationNs work_;
+};
+
+struct FaultedShinjukuRun {
+    std::uint64_t event_hash;
+    AgentStats agent;
+    std::uint64_t injected_fails;
+};
+
+/**
+ * A 4-core Wave Shinjuku deployment with a 10 us slice, threads that run
+ * past it and a 100 us commit-fail burst, polled through the Wave
+ * binding's own AgentPollAllOutcomes or through the per-core default.
+ */
+FaultedShinjukuRun
+RunFaultedShinjuku(bool per_core_poll)
+{
+    constexpr int kCores = 4;
+    Simulator sim;
+    machine::Machine machine(sim);
+    WaveRuntime runtime(sim, machine, pcie::PcieConfig{},
+                        api::OptimizationConfig::Full());
+    sim::inject::FaultInjector injector(sim);
+    injector.Arm({sim::inject::FaultSpec{
+        .kind = sim::inject::FaultKind::kCommitFailBurst,
+        .at = TimeNs{400'000},
+        .duration = 100'000}});
+    runtime.AttachInjector(&injector);
+    WaveSchedTransport wave(runtime, kCores);
+    PerCorePollTransport per_core(wave);
+    SchedTransport& transport =
+        per_core_poll ? static_cast<SchedTransport&>(per_core) : wave;
+    KernelSched kernel(sim, machine, transport);
+    kernel.SetFaultInjector(&injector);
+    AgentConfig config;
+    for (int core = 0; core < kCores; ++core) config.cores.push_back(core);
+    config.prestage_min_depth = 2;
+    auto agent = std::make_shared<GhostAgent>(
+        transport, std::make_shared<sched::ShinjukuPolicy>(10'000), config);
+    runtime.StartWaveAgent(agent, 0);
+    for (Tid tid = 1; tid <= 10; ++tid) {
+        kernel.AddThread(tid, std::make_shared<YieldingBody>(
+                                  static_cast<sim::DurationNs>(tid) * 4'000));
+    }
+    kernel.Start(config.cores);
+    sim.RunFor(1'500'000);
+    return {sim.EventHash(), agent->Stats(), injector.Stats().commit_fails};
+}
+
+TEST(AgentPass, BatchedOutcomePollMatchesThePerCoreDefault)
+{
+    const FaultedShinjukuRun batched = RunFaultedShinjuku(false);
+    const FaultedShinjukuRun per_core = RunFaultedShinjuku(true);
+    EXPECT_GT(batched.agent.preempt_decisions, 0u);
+    EXPECT_GT(batched.agent.prestages, 0u);
+    EXPECT_GT(batched.agent.failed_commits, 0u);
+    EXPECT_GT(batched.injected_fails, 0u);
+
+    EXPECT_EQ(batched.event_hash, per_core.event_hash);
+    EXPECT_EQ(batched.injected_fails, per_core.injected_fails);
+    EXPECT_EQ(batched.agent.iterations, per_core.agent.iterations);
+    EXPECT_EQ(batched.agent.messages, per_core.agent.messages);
+    EXPECT_EQ(batched.agent.decisions, per_core.agent.decisions);
+    EXPECT_EQ(batched.agent.prestages, per_core.agent.prestages);
+    EXPECT_EQ(batched.agent.preempt_decisions,
+              per_core.agent.preempt_decisions);
+    EXPECT_EQ(batched.agent.failed_commits, per_core.agent.failed_commits);
+    EXPECT_EQ(batched.agent.kicks, per_core.agent.kicks);
 }
 
 }  // namespace

@@ -7,13 +7,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/frame_pool.h"
+#include "sim/inline_fn.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -415,6 +418,66 @@ TEST(TimingWheel, PopPeekedRefusesANodeThatIsNoLongerTheMinimum)
     EventNode* const peeked = wheel.PeekMin();
     wheel.Push(TimeNs{10}, EventNode::kUnkeyed, [] {});
     EXPECT_DEATH(wheel.PopPeeked(peeked), "no longer the minimum");
+}
+
+/** A capture that counts how often its owning instance is destroyed. */
+struct DestroyCounter {
+    DestroyCounter(std::shared_ptr<int> p, int* count)
+        : owned(std::move(p)), destroyed(count)
+    {
+    }
+    DestroyCounter(DestroyCounter&&) noexcept = default;
+    DestroyCounter& operator=(DestroyCounter&&) noexcept = default;
+
+    ~DestroyCounter()
+    {
+        if (owned != nullptr) ++*destroyed;
+    }
+
+    std::shared_ptr<int> owned;  ///< null once moved from
+    int* destroyed;
+};
+
+TEST(InlineFn, RelocatedCapturesAreDestroyedExactlyOnce)
+{
+    // A non-trivial capture keeps its relocate and destroy ops through
+    // move construction and move assignment: three InlineFns hold it in
+    // turn and only the last one destroys it.
+    int destroyed = 0;
+    int runs = 0;
+    auto owned = std::make_shared<int>(7);
+    const std::weak_ptr<int> watch = owned;
+    {
+        InlineFn first(
+            [capture = DestroyCounter{std::move(owned), &destroyed},
+             &runs] { runs += *capture.owned; });
+        InlineFn second(std::move(first));
+        InlineFn third;
+        third = std::move(second);
+        EXPECT_FALSE(first);
+        EXPECT_FALSE(second);
+        EXPECT_EQ(destroyed, 0);
+        EXPECT_EQ(watch.use_count(), 1);
+        third();
+        EXPECT_EQ(runs, 7);
+    }
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_TRUE(watch.expired());
+
+    // A trivial capture relocates by copying its bytes and has nothing
+    // to destroy; it still runs exactly once per call.
+    int trivial_runs = 0;
+    const auto trivial = [&trivial_runs] { ++trivial_runs; };
+    static_assert(std::is_trivially_copyable_v<decltype(trivial)> &&
+                  std::is_trivially_destructible_v<decltype(trivial)>);
+    InlineFn a(trivial);
+    InlineFn b(std::move(a));
+    InlineFn c;
+    c = std::move(b);
+    EXPECT_FALSE(a);
+    EXPECT_FALSE(b);
+    c();
+    EXPECT_EQ(trivial_runs, 1);
 }
 
 TEST(Sync, SignalWakesWaitersInFifoOrder)
