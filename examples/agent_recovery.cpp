@@ -4,26 +4,32 @@
  * and a replacement takes over (§3.3, §6 "Keep Fault Recovery Simple").
  *
  * The host kernel is the source of truth for thread state, so the
- * replacement agent needs no checkpoint: it re-learns the world from
- * the kernel's messages and scheduling resumes.
+ * replacement agent needs no checkpoint: the AgentSupervisor has the
+ * kernel re-announce every runnable thread, the replacement re-learns
+ * the world from those messages and scheduling resumes for all of them.
  *
  * Build & run:  ./build/examples/agent_recovery
  */
+#include <array>
 #include <cstdio>
+#include <numeric>
+#include <optional>
 
 #include "ghost/agent.h"
 #include "ghost/kernel.h"
+#include "ghost/supervisor.h"
 #include "ghost/transport.h"
 #include "machine/machine.h"
 #include "sched/fifo.h"
 #include "sim/simulator.h"
 #include "wave/runtime.h"
-#include "wave/watchdog.h"
 
 using namespace wave;
 using namespace sim::time_literals;
 
 namespace {
+
+constexpr ghost::Tid kThreads = 8;
 
 /** Worker that reports completions. */
 class Worker : public ghost::ThreadBody {
@@ -60,72 +66,65 @@ main()
     ghost::WaveSchedTransport transport(runtime, 2);
     ghost::KernelSched kernel(sim, machine, transport);
 
-    int completions = 0;
-    for (ghost::Tid tid = 1; tid <= 8; ++tid) {
-        kernel.AddThread(tid, std::make_shared<Worker>(completions));
+    std::array<int, kThreads + 1> completions{};  // indexed by tid
+    for (ghost::Tid tid = 1; tid <= kThreads; ++tid) {
+        kernel.AddThread(tid, std::make_shared<Worker>(completions[tid]));
     }
+    auto total = [&] {
+        return std::accumulate(completions.begin(), completions.end(), 0);
+    };
 
     ghost::AgentConfig agent_cfg;
     agent_cfg.cores = {0, 1};
 
-    // Generation 1: a healthy agent that will be killed artificially
-    // after 2 ms (simulating a wedge) by simply stopping it.
-    auto policy1 = std::make_shared<sched::FifoPolicy>();
-    auto agent1 = std::make_shared<ghost::GhostAgent>(transport, policy1,
-                                                      agent_cfg);
-    const AgentId gen1 = runtime.StartWaveAgent(agent1, 0);
+    // Each generation is a fresh FIFO agent on its own NIC core.
+    int next_nic_core = 0;
+    auto start_agent = [&] {
+        auto agent = std::make_shared<ghost::GhostAgent>(
+            transport, std::make_shared<sched::FifoPolicy>(), agent_cfg);
+        return ghost::SupervisedAgent{
+            runtime.StartWaveAgent(agent, next_nic_core++), agent.get()};
+    };
+    const ghost::SupervisedAgent gen1 = start_agent();
     kernel.Start({0, 1});
 
-    // The on-host watchdog: no decision for >20 ms -> kill + restart.
-    Watchdog watchdog(sim, /*timeout=*/20_ms, /*check_interval=*/1_ms,
-                      [&] {
-                          std::printf("[%8.3f ms] watchdog fired: killing "
-                                      "agent, starting replacement\n",
-                                      sim::ToMs(sim.Now()));
-                          runtime.KillWaveAgent(gen1);
-                          auto policy2 =
-                              std::make_shared<sched::FifoPolicy>();
-                          auto agent2 =
-                              std::make_shared<ghost::GhostAgent>(
-                                  transport, policy2, agent_cfg);
-                          runtime.StartWaveAgent(agent2, 1);
-                          // Replacement re-pulls state: the kernel
-                          // re-announces every runnable thread.
-                          for (ghost::Tid tid = 1; tid <= 8; ++tid) {
-                              kernel.WakeThread(tid);
-                          }
-                      });
-    watchdog.Arm();
+    // The on-host watchdog: no agent progress for >20 ms -> kill, start
+    // a replacement (kept under the watchdog), re-announce the threads.
+    std::array<int, kThreads + 1> at_recovery{};
+    ghost::AgentSupervisor supervisor(
+        runtime, kernel, /*timeout=*/20_ms, /*check_interval=*/1_ms,
+        [&]() -> std::optional<ghost::SupervisedAgent> {
+            std::printf("[%8.3f ms] watchdog fired: killing agent, "
+                        "starting replacement\n",
+                        sim::ToMs(sim.Now()));
+            at_recovery = completions;
+            return start_agent();
+        });
+    supervisor.Supervise(gen1);
 
-    // Feed the watchdog while decisions flow; "wedge" the agent at 2 ms
-    // by killing it without telling the watchdog.
-    sim.Spawn([](sim::Simulator& s, ghost::KernelSched& k,
-                 Watchdog& dog) -> sim::Task<> {
-        std::uint64_t last_commits = 0;
-        for (;;) {
-            co_await s.Delay(1_ms);
-            if (k.Stats().commits_ok > last_commits) {
-                last_commits = k.Stats().commits_ok;
-                dog.NoteDecision();
-            }
-        }
-    }(sim, kernel, watchdog));
+    // Wedge the agent at 2 ms: alive, but it stops iterating.
     sim.Schedule(2_ms, [&] {
         std::printf("[%8.3f ms] agent wedges (no more decisions)\n",
                     sim::ToMs(sim.Now()));
-        runtime.KillWaveAgent(gen1);
+        runtime.StallWaveAgent(gen1.id, 1'000_ms);
     });
 
     sim.RunFor(10_ms);
-    const int before_recovery = completions;
+    const int before_recovery = total();
     std::printf("[%8.3f ms] completions so far: %d (stalled)\n",
-                sim::ToMs(sim.Now()), completions);
+                sim::ToMs(sim.Now()), before_recovery);
 
     sim.RunFor(50_ms);
     std::printf("[%8.3f ms] completions after recovery: %d\n",
-                sim::ToMs(sim.Now()), completions);
+                sim::ToMs(sim.Now()), total());
+    int resumed = 0;
+    for (ghost::Tid tid = 1; tid <= kThreads; ++tid) {
+        if (completions[tid] > at_recovery[tid]) ++resumed;
+    }
+    std::printf("threads scheduled after recovery: %d of %d\n", resumed,
+                kThreads);
     std::printf("\nrecovered: %s (watchdog expired: %s)\n",
-                completions > before_recovery ? "yes" : "no",
-                watchdog.Expired() ? "yes" : "no");
+                total() > before_recovery ? "yes" : "no",
+                supervisor.Stats().expiries > 0 ? "yes" : "no");
     return 0;
 }

@@ -56,15 +56,9 @@ RunTrial(bool ticks)
     ghost::AgentConfig cfg;
     for (int c = 0; c < 16; ++c) cfg.cores.push_back(c);
     cfg.prestage = false;
-    auto agent =
-        std::make_shared<ghost::GhostAgent>(*transport, policy, cfg);
-    std::unique_ptr<AgentContext> host_ctx;
-    if (ticks) {
-        host_ctx = std::make_unique<AgentContext>(sim, machine.HostCpu(16));
-        sim.Spawn(agent->Run(*host_ctx));
-    } else {
-        runtime.StartWaveAgent(agent, 0);
-    }
+    runtime.StartWaveAgent(
+        std::make_shared<ghost::GhostAgent>(*transport, policy, cfg),
+        ticks ? machine.HostCpu(16) : machine.NicCpu(0));
 
     // One busy vCPU on core 0; idle vCPUs pinned everywhere else.
     auto busy = std::make_shared<workload::BusyLoopBody>();

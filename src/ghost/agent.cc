@@ -140,7 +140,10 @@ GhostAgent::Run(AgentContext& ctx)
         }
 
         if (config_.aux_stage) {
-            co_await config_.aux_stage(ctx);
+            // An idle stage returns an empty task and builds no frame.
+            if (sim::Task<> aux = config_.aux_stage(ctx)) {
+                co_await std::move(aux);
+            }
         }
         co_await ctx.Cpu().Work(kLoopOverheadNs);
         // Histogram recording adds no simulator events, so enabling or

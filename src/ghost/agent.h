@@ -26,8 +26,9 @@
  * loop overhead. Updating the core model, handling outcomes and asking
  * the policy never suspend, so an idle pass over either binding builds
  * two coroutine frames, the two polls', whatever the core count (an aux
- * stage adds its own). Each core's outcomes are handled as soon as that
- * core's poll finishes (OutcomeSink), before the next core is polled.
+ * stage with work to do adds its own). Each core's outcomes are handled
+ * as soon as that core's poll finishes (OutcomeSink), before the next
+ * core is polled.
  */
 // wave-domain: host
 #pragma once
@@ -75,7 +76,9 @@ struct AgentConfig {
      * agent's CPU. The offloaded RPC stack plugs its packet-steering
      * stage in here (§7.3: co-locating the RPC steering policy with
      * the scheduler on the SmartNIC), and the offload datapath plugs
-     * in a bounded pipeline slice (offload/pipeline.h).
+     * in a bounded pipeline slice (offload/pipeline.h). A pass with
+     * nothing for the stage to do may return an empty task, which the
+     * agent skips.
      */
     std::function<sim::Task<>(AgentContext&)> aux_stage;
 
@@ -106,12 +109,9 @@ class GhostAgent : public Agent {
     GhostAgent(SchedTransport& transport,
                std::shared_ptr<SchedPolicy> policy, AgentConfig config);
 
-    std::string Name() const override { return policy_->Name(); }
-
     sim::Task<> Run(AgentContext& ctx) override;
 
     const AgentStats& Stats() const { return stats_; }
-    SchedPolicy& Policy() { return *policy_; }
 
     /**
      * Wall-to-wall duration of each agent loop pass (messages,

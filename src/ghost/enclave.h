@@ -9,22 +9,23 @@
  * kernel scheduling-class state, transport queues, agent, and policy.
  * Wave keeps the model — the §7.2 scheduling agent operates per CCX —
  * and adds the per-component watchdog (§3.3) and restart-based
- * recovery (§6): an enclave kills its wedged agent and starts a fresh
- * one that re-pulls thread state from the kernel, without touching
- * neighbouring enclaves.
+ * recovery (§6): the enclave's AgentSupervisor kills its wedged agent
+ * and starts a fresh one on the same placement that re-pulls thread
+ * state from the kernel, without touching neighbouring enclaves.
  */
 // wave-domain: host
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "ghost/agent.h"
 #include "ghost/kernel.h"
+#include "ghost/supervisor.h"
 #include "ghost/transport.h"
 #include "wave/runtime.h"
-#include "wave/watchdog.h"
 
 namespace wave::ghost {
 
@@ -66,34 +67,34 @@ class Enclave {
 
     /**
      * Kills the current agent and starts a replacement with a fresh
-     * policy. The kernel re-announces this enclave's runnable threads
-     * so the new policy can rebuild its run queue — the host kernel is
-     * the source of truth (§6).
+     * policy, as a watchdog expiry does. The kernel re-announces this
+     * enclave's runnable threads so the new policy can rebuild its run
+     * queue — the host kernel is the source of truth (§6).
      */
-    void RestartAgent();
+    void RestartAgent() { supervisor_->Replace(); }
 
     /** Number of agent generations started (1 after Start()). */
     int Generation() const { return generation_; }
 
-    bool AgentAlive() const;
+    bool
+    AgentAlive() const
+    {
+        return generation_ > 0 && runtime_.AgentAlive(agent_id_);
+    }
 
     KernelSched& Kernel() { return *kernel_; }
-    SchedTransport& Transport() { return *transport_; }
 
   private:
-    void StartAgentGeneration();
-    sim::Task<> FeedWatchdogLoop();
+    /** Starts a fresh-policy agent on this enclave's placement. */
+    SupervisedAgent StartAgentGeneration();
 
     WaveRuntime& runtime_;
     EnclaveConfig config_;
     std::unique_ptr<SchedTransport> transport_;
     std::unique_ptr<KernelSched> kernel_;
-    std::shared_ptr<GhostAgent> agent_;
-    std::unique_ptr<AgentContext> host_agent_ctx_;
+    std::optional<AgentSupervisor> supervisor_;
     AgentId agent_id_ = 0;
-    std::unique_ptr<Watchdog> watchdog_;
     int generation_ = 0;
-    std::uint64_t last_seen_decisions_ = 0;
 };
 
 }  // namespace wave::ghost

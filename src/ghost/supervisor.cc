@@ -7,72 +7,79 @@
 
 namespace wave::ghost {
 
-AgentSupervisor::AgentSupervisor(sim::Simulator& sim, WaveRuntime& runtime,
-                                 KernelSched& kernel,
+AgentSupervisor::AgentSupervisor(WaveRuntime& runtime, KernelSched& kernel,
                                  sim::DurationNs timeout,
-                                 sim::DurationNs check_interval)
-    : sim_(sim), runtime_(runtime), kernel_(kernel), timeout_(timeout),
-      check_interval_(check_interval)
+                                 sim::DurationNs check_interval,
+                                 Successor successor)
+    : runtime_(runtime), kernel_(kernel), check_interval_(check_interval),
+      successor_(std::move(successor))
 {
+    if (timeout > 0) {
+        dog_ = std::make_unique<Watchdog>(
+            runtime_.Sim(), timeout, check_interval_, [this] {
+                ++stats_.expiries;
+                WAVE_TRACE_EVENT(&runtime_.Sim(), "supervisor",
+                                 "watchdog expiry: replacing agent %zu",
+                                 watched_.id);
+                Replace();
+            });
+        WAVE_CHECK_HOOK(dog_->AttachProtocol(runtime_.Protocol()));
+    }
 }
 
 AgentSupervisor::~AgentSupervisor() = default;
 
 void
-AgentSupervisor::Supervise(AgentId id, std::shared_ptr<GhostAgent> agent,
-                           std::function<std::shared_ptr<GhostAgent>()>
-                               fallback_factory,
-                           machine::Cpu& fallback_cpu)
+AgentSupervisor::Supervise(SupervisedAgent agent)
 {
-    agent_id_ = id;
-    agent_ = std::move(agent);
-    fallback_factory_ = std::move(fallback_factory);
-    fallback_cpu_ = &fallback_cpu;
-
-    dog_ = std::make_unique<Watchdog>(sim_, timeout_, check_interval_,
-                                      [this] { OnExpire(); });
-    WAVE_CHECK_HOOK(dog_->AttachProtocol(runtime_.Protocol()));
+    WAVE_ASSERT(agent.agent != nullptr, "supervising no agent");
+    watched_ = agent;
+    last_iterations_ = agent.agent->Stats().iterations;
+    if (dog_ == nullptr) return;
     dog_->Arm();
-    sim_.Spawn(FeedLoop());
+    // One feed task serves every agent this supervisor watches in turn.
+    if (!feeding_) {
+        feeding_ = true;
+        runtime_.Sim().Spawn(FeedLoop());
+    }
 }
 
-// wave-lifetime(spawn-safe: only `this` is borrowed; the supervisor is owned by the enclave, which outlives the simulator run)
+// wave-lifetime(spawn-safe: only `this` is borrowed; the supervisor is owned by the enclave or testbed, which outlives the simulator run)
 sim::Task<>
 AgentSupervisor::FeedLoop()
 {
     // Liveness evidence is the agent's loop counter: a crashed agent's
     // Run() returned, a stalled agent is parked before the increment —
-    // either way the counter freezes and the watchdog starves.
-    std::uint64_t last_iterations = agent_->Stats().iterations;
-    while (!dog_->Expired()) {
-        co_await sim_.Delay(check_interval_);
-        const std::uint64_t now_iterations = agent_->Stats().iterations;
-        if (dog_->Expired()) break;  // expiry raced with the sleep
-        if (now_iterations != last_iterations) {
-            last_iterations = now_iterations;
+    // either way the counter freezes and the watchdog starves. The task
+    // ends once a replacement leaves no agent to watch (a fallback).
+    while (watched_.agent != nullptr) {
+        co_await runtime_.Sim().Delay(check_interval_);
+        if (watched_.agent == nullptr) break;
+        const std::uint64_t iterations = watched_.agent->Stats().iterations;
+        if (iterations != last_iterations_) {
+            last_iterations_ = iterations;
             dog_->NoteDecision();
         }
     }
+    feeding_ = false;
 }
 
 void
-AgentSupervisor::OnExpire()
+AgentSupervisor::Replace()
 {
-    ++stats_.expiries;
-    WAVE_TRACE_EVENT(&sim_, "supervisor",
-                     "watchdog expiry: killing agent %zu, falling back",
-                     agent_id_);
-    runtime_.KillWaveAgent(agent_id_);
-    // Host-side fallback over the same transport: scheduling continues
-    // from the host core while the NIC agent is gone. The kernel is the
-    // source of truth, so the fallback needs no handoff beyond a replay
-    // of the runnable set.
-    fallback_ = fallback_factory_();
-    fallback_ctx_ = std::make_unique<AgentContext>(sim_, *fallback_cpu_);
-    sim_.Spawn(fallback_->Run(*fallback_ctx_));
+    WAVE_ASSERT(watched_.agent != nullptr, "no supervised agent to replace");
+    runtime_.KillWaveAgent(watched_.id);
+    watched_ = {};
+    if (const std::optional<SupervisedAgent> next = successor_()) {
+        Supervise(*next);
+    } else {
+        if (dog_ != nullptr) dog_->Disarm();
+        stats_.fallback_active = true;
+        stats_.fallback_at = runtime_.Sim().Now();
+    }
+    // Re-pull from the source of truth: the kernel replays every
+    // runnable thread so the successor rebuilds its run queue (§6).
     kernel_.ReannounceAll();
-    stats_.fallback_active = true;
-    stats_.fallback_at = sim_.Now();
 }
 
 }  // namespace wave::ghost

@@ -1,92 +1,88 @@
 /**
  * @file
- * Watchdog-driven agent supervision and host fallback (§3.3).
+ * Watchdog-driven agent supervision: the one recovery path (§3.3, §6).
  *
- * The paper's recovery story: every offloaded agent has an on-host
- * watchdog; when the agent stops making progress the watchdog kills it
- * and the subsystem "falls back to on-host system software" — for the
- * thread scheduler, scheduling through the kernel's own class (CFS).
+ * When an agent stops making progress its on-host watchdog kills it and
+ * a successor takes over: a fresh agent (an enclave restart, §6) or
+ * on-host system software (the §3.3 fallback to the kernel's own class).
  * Recovery is simple because the kernel never stopped being the source
- * of truth (§6): the fallback just re-pulls the runnable set.
+ * of truth (§6): the successor just re-pulls the runnable set.
  *
- * AgentSupervisor packages that loop for simulations and tests:
- *
- *   1. a feed task samples the supervised agent's iteration counter
- *      every check interval and feeds the Watchdog while the counter
- *      advances,
- *   2. on expiry it issues KILL_WAVE_AGENT, starts a caller-supplied
- *      fallback GhostAgent on a host core over the same transport, and
- *   3. calls KernelSched::ReannounceAll() so every runnable thread
- *      stranded in the dead agent's run queue reaches the fallback.
+ *   1. A feed task samples the supervised agent's iteration counter
+ *      every check interval and feeds the Watchdog while it advances.
+ *   2. On expiry, or on Replace(), the supervisor issues
+ *      KILL_WAVE_AGENT and runs the owner's successor callback, which
+ *      starts the successor in a WaveRuntime slot; a restart returns it
+ *      to stay supervised, a fallback returns none.
+ *   3. KernelSched::ReannounceAll() hands every runnable thread stranded
+ *      in the dead agent's run queue to the successor.
  */
 // wave-domain: host
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "ghost/agent.h"
 #include "ghost/kernel.h"
-#include "machine/cpu.h"
 #include "sim/simulator.h"
 #include "wave/runtime.h"
 #include "wave/watchdog.h"
 
 namespace wave::ghost {
 
+/** A running agent: its runtime slot and the loop that shows progress. */
+struct SupervisedAgent {
+    AgentId id = 0;
+    const GhostAgent* agent = nullptr;
+};
+
 /** What the supervisor has done so far. */
 struct SupervisorStats {
     std::uint64_t expiries = 0;
-    bool fallback_active = false;
+    bool fallback_active = false;  ///< the successor runs unsupervised
     sim::TimeNs fallback_at{};
 };
 
-/** Supervises one Wave agent; falls back to a host agent on expiry. */
+/** Supervises one agent at a time and replaces it when it stops. */
 class AgentSupervisor {
   public:
+    /** Starts a killed agent's successor; returns it to supervise it. */
+    using Successor = std::function<std::optional<SupervisedAgent>()>;
+
     /**
      * @p timeout is the liveness-staleness threshold before the kill
      * (§3.3: 20 ms); the watchdog polls, and the feed task samples the
-     * agent's iteration counter, every @p check_interval.
+     * agent's iteration counter, every @p check_interval. A zero
+     * @p timeout runs no watchdog: only Replace() replaces the agent.
      */
-    AgentSupervisor(sim::Simulator& sim, WaveRuntime& runtime,
-                    KernelSched& kernel, sim::DurationNs timeout,
-                    sim::DurationNs check_interval);
+    AgentSupervisor(WaveRuntime& runtime, KernelSched& kernel,
+                    sim::DurationNs timeout, sim::DurationNs check_interval,
+                    Successor successor);
     ~AgentSupervisor();
 
-    /**
-     * Starts supervising @p agent (already running as Wave agent
-     * @p id). On watchdog expiry the supervisor kills it, runs
-     * @p fallback_factory to build the host-side replacement agent
-     * (same transport, typically a CFS-class policy), spawns it on
-     * @p fallback_cpu, and replays the kernel's runnable set.
-     */
-    void Supervise(AgentId id, std::shared_ptr<GhostAgent> agent,
-                   std::function<std::shared_ptr<GhostAgent>()>
-                       fallback_factory,
-                   machine::Cpu& fallback_cpu);
+    /** Arms the watchdog on @p agent, already running in its slot. */
+    void Supervise(SupervisedAgent agent);
+
+    /** Replaces the supervised agent now, as a watchdog expiry does. */
+    void Replace();
 
     const SupervisorStats& Stats() const { return stats_; }
 
   private:
     sim::Task<> FeedLoop();
-    void OnExpire();
 
-    sim::Simulator& sim_;
     WaveRuntime& runtime_;
     KernelSched& kernel_;
-    sim::DurationNs timeout_;
     sim::DurationNs check_interval_;
+    Successor successor_;
     SupervisorStats stats_;
 
-    AgentId agent_id_ = 0;
-    std::shared_ptr<GhostAgent> agent_;
-    std::function<std::shared_ptr<GhostAgent>()> fallback_factory_;
-    machine::Cpu* fallback_cpu_ = nullptr;
-
-    std::unique_ptr<Watchdog> dog_;
-    std::shared_ptr<GhostAgent> fallback_;
-    std::unique_ptr<AgentContext> fallback_ctx_;
+    SupervisedAgent watched_;
+    std::uint64_t last_iterations_ = 0;
+    bool feeding_ = false;          ///< the feed task is running
+    std::unique_ptr<Watchdog> dog_;  ///< null when the timeout is zero
 };
 
 }  // namespace wave::ghost

@@ -46,20 +46,6 @@ CostsFor(RpcScenario scenario, const pcie::PcieConfig& pcie)
     }
 }
 
-/**
- * State for the steering stage co-located with the scheduling agent.
- * Lives in RunRpcExperiment's frame, which runs the simulator to
- * completion before returning, so the stage coroutine below may
- * borrow it across suspensions.
- */
-struct SteeringStage {
-    std::shared_ptr<std::deque<Request>> queue;
-    ScenarioCosts costs;
-    bool multi_queue;
-    workload::KvService* service;
-    std::uint64_t steered;
-};
-
 // wave-lifetime(caller-awaits)
 sim::Task<>
 RunSteeringStage(SteeringStage& stage, AgentContext& ctx)
@@ -68,17 +54,27 @@ RunSteeringStage(SteeringStage& stage, AgentContext& ctx)
     for (int i = 0; i < 8 && !stage.queue->empty(); ++i) {
         Request request = std::move(stage.queue->front());
         stage.queue->pop_front();
-        sim::DurationNs cost = stage.costs.steer_ns;
-        if (stage.multi_queue) cost += stage.costs.slo_read_ns;
-        co_await ctx.Cpu().Work(cost);
+        co_await ctx.Cpu().Work(stage.steer_ns);
         ++stage.steered;
         // Worker-side payload fetch is part of its service time.
-        request.service_ns += stage.costs.worker_fetch_ns;
+        request.service_ns += stage.worker_fetch_ns;
         stage.service->Submit(std::move(request));
     }
 }
 
 }  // namespace
+
+std::function<sim::Task<>(AgentContext&)>
+SteeringAuxStage(SteeringStage& stage)
+{
+    // The adapter is not itself a coroutine: it reads its capture once,
+    // at call time, to construct the named coroutine's task — the
+    // pattern W202 leaves open.
+    return [&stage](AgentContext& ctx) {
+        return stage.queue->empty() ? sim::Task<>{}
+                                    : RunSteeringStage(stage, ctx);
+    };
+}
 
 RpcExperimentResult
 RunRpcExperiment(const RpcExperimentConfig& cfg)
@@ -115,8 +111,11 @@ RunRpcExperiment(const RpcExperimentConfig& cfg)
     // Requests that finished protocol processing wait here for the
     // agent's steering pass.
     auto steering_queue = std::make_shared<std::deque<Request>>();
-    SteeringStage steering{steering_queue, costs, cfg.multi_queue,
-                           /*service=*/nullptr, /*steered=*/0};
+    SteeringStage steering{
+        .queue = steering_queue,
+        .steer_ns = cfg.multi_queue ? costs.steer_ns + costs.slo_read_ns
+                                    : costs.steer_ns,
+        .worker_fetch_ns = costs.worker_fetch_ns};
 
     // KV service with per-request completion flowing back through the
     // RPC stack's response path.
@@ -140,13 +139,8 @@ RunRpcExperiment(const RpcExperimentConfig& cfg)
     ghost::AgentConfig agent_cfg;
     agent_cfg.prestage = true;
     agent_cfg.prestage_min_depth = 4;
-    // The adapter lambda is not itself a coroutine: it reads its
-    // capture once, at call time, to construct the named coroutine's
-    // task — the pattern W202 leaves open.
     steering.service = &service;
-    agent_cfg.aux_stage = [&steering](AgentContext& ctx) {
-        return RunSteeringStage(steering, ctx);
-    };
+    agent_cfg.aux_stage = SteeringAuxStage(steering);
     bed.StartAgent(workload::MakeSchedPolicy(
                        cfg.multi_queue
                            ? workload::PolicyKind::kMultiQueueShinjuku

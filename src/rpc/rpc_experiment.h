@@ -22,11 +22,18 @@
 // wave-domain: host
 #pragma once
 
+#include <deque>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "pcie/config.h"
+#include "sim/task.h"
 #include "sim/time.h"
+#include "wave/runtime.h"
+#include "workload/kv_service.h"
 #include "workload/ladder.h"
+#include "workload/request.h"
 #include "workload/sched_experiment.h"
 
 namespace wave::rpc {
@@ -82,6 +89,27 @@ struct RpcExperimentResult {
     /** Simulator event-stream fingerprint (determinism auditing). */
     std::uint64_t event_hash = 0;
 };
+
+/**
+ * The steering stage, co-located with the scheduling agent (§7.3):
+ * requests that finished protocol processing wait in @c queue for the
+ * agent's next pass, which steers up to eight of them into @c service.
+ */
+struct SteeringStage {
+    std::shared_ptr<std::deque<workload::Request>> queue;
+    sim::DurationNs steer_ns = 0;         ///< per request, on the agent's core
+    sim::DurationNs worker_fetch_ns = 0;  ///< added to its service time
+    workload::KvService* service = nullptr;
+    std::uint64_t steered = 0;
+};
+
+/**
+ * The agent aux stage (ghost::AgentConfig::aux_stage) that runs
+ * @p stage, which must outlive the agent. While the queue is empty it
+ * returns an empty task, so an idle agent pass builds no frame for it.
+ */
+std::function<sim::Task<>(AgentContext&)> SteeringAuxStage(
+    SteeringStage& stage);
 
 /** Runs one load point. */
 RpcExperimentResult RunRpcExperiment(const RpcExperimentConfig& cfg);

@@ -232,6 +232,12 @@ class [[nodiscard]] Task<void> {
     Task& operator=(const Task&) = delete;
     ~Task() { Destroy(); }
 
+    /**
+     * False for an empty task (`{}` or moved-from), which has no frame;
+     * awaiting one asserts, so test a task that may be empty first.
+     */
+    explicit operator bool() const { return handle_ != nullptr; }
+
     bool Done() const { return handle_ && handle_.done(); }
 
     std::coroutine_handle<promise_type>

@@ -164,12 +164,11 @@ WaveRuntime::AttachInjector(sim::inject::FaultInjector* injector)
 }
 
 AgentId
-WaveRuntime::StartWaveAgent(std::shared_ptr<Agent> agent, int nic_core)
+WaveRuntime::StartWaveAgent(std::shared_ptr<Agent> agent, machine::Cpu& cpu)
 {
     AgentSlot slot;
     slot.agent = std::move(agent);
-    slot.ctx = std::make_unique<AgentContext>(sim_,
-                                              machine_.NicCpu(nic_core));
+    slot.ctx = std::make_unique<AgentContext>(sim_, cpu);
     slot.alive = true;
     agents_.push_back(std::move(slot));
     const AgentId id = agents_.size() - 1;
@@ -181,8 +180,8 @@ WaveRuntime::StartWaveAgent(std::shared_ptr<Agent> agent, int nic_core)
 sim::Task<>
 WaveRuntime::RunAgent(AgentId id)
 {
-    // Hold shared ownership for the duration of the run so a kill +
-    // release by the caller cannot free the agent under its own loop.
+    // This frame's share keeps the agent for a simulator that outlives
+    // the runtime. Awaiting Run() transfers into it without an event.
     std::shared_ptr<Agent> agent = agents_[id].agent;
     co_await agent->Run(*agents_[id].ctx);
     agents_[id].alive = false;

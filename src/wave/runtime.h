@@ -6,14 +6,14 @@
  * exposed NIC DRAM window and the DMA engine, allocates queue storage
  * (CREATE_QUEUE / DESTROY_QUEUE), builds host/NIC endpoint pairs with
  * PTE types chosen from the active OptimizationConfig (SET_QUEUE_TYPE),
- * allocates MSI-X vectors, and runs agents on SmartNIC cores
- * (START_WAVE_AGENT / KILL_WAVE_AGENT).
+ * allocates MSI-X vectors, and runs every agent — on a SmartNIC core,
+ * or on a host core for an on-host deployment or fallback — in a slot
+ * of its own (START_WAVE_AGENT / KILL_WAVE_AGENT).
  */
 // wave-domain: pcie
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "channel/dma_queue.h"
@@ -56,9 +56,6 @@ class Agent {
   public:
     virtual ~Agent() = default;
 
-    /** Diagnostic name, e.g. "fifo-sched" or "sol-memmgr". */
-    virtual std::string Name() const = 0;
-
     /**
      * The agent main loop. Implementations must poll
      * @p ctx->StopRequested() regularly and return when it is set —
@@ -77,7 +74,7 @@ class AgentContext {
 
     sim::Simulator& Sim() { return sim_; }
 
-    /** The SmartNIC core the agent runs on (for Work() costs). */
+    /** The core the agent runs on (for Work() costs). */
     machine::Cpu& Cpu() { return cpu_; }
 
     /** True once KILL_WAVE_AGENT was issued; the agent must return. */
@@ -136,8 +133,19 @@ class WaveRuntime {
 
     // --- Agents (START_WAVE_AGENT / KILL_WAVE_AGENT) ---
 
+    /**
+     * Starts @p agent on @p cpu, a SmartNIC core or a host core; returns
+     * its id. The runtime owns the agent and its context until it is
+     * destroyed, so a killed agent finishes its pass on live state.
+     */
+    AgentId StartWaveAgent(std::shared_ptr<Agent> agent, machine::Cpu& cpu);
+
     /** Starts @p agent on NIC core @p nic_core; returns its id. */
-    AgentId StartWaveAgent(std::shared_ptr<Agent> agent, int nic_core);
+    AgentId
+    StartWaveAgent(std::shared_ptr<Agent> agent, int nic_core)
+    {
+        return StartWaveAgent(std::move(agent), machine_.NicCpu(nic_core));
+    }
 
     /** Requests the agent stop; it exits at its next poll. */
     void KillWaveAgent(AgentId id);

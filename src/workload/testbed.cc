@@ -75,16 +75,13 @@ Testbed::StartAgent(std::shared_ptr<ghost::SchedPolicy> policy,
     slo_policy_ =
         dynamic_cast<sched::MultiQueueShinjukuPolicy*>(policy.get());
     agent_config_ = agent;
-    agent_ = std::make_shared<ghost::GhostAgent>(*transport_,
-                                                 std::move(policy),
-                                                 std::move(agent));
-    if (config_.placement == Deployment::kWave) {
-        agent_id_ = runtime_.StartWaveAgent(agent_, /*nic_core=*/0);
-    } else {
-        host_agent_ctx_.emplace(sim_,
-                                machine_.HostCpu(config_.worker_cores));
-        sim_.Spawn(agent_->Run(*host_agent_ctx_));
-    }
+    auto ghost_agent = std::make_shared<ghost::GhostAgent>(
+        *transport_, std::move(policy), std::move(agent));
+    agent_ = ghost_agent.get();
+    agent_id_ = runtime_.StartWaveAgent(
+        std::move(ghost_agent), config_.placement == Deployment::kWave
+                                    ? machine_.NicCpu(0)
+                                    : machine_.HostCpu(config_.worker_cores));
 }
 
 void
@@ -92,22 +89,25 @@ Testbed::Supervise(sim::DurationNs timeout, sim::DurationNs check_interval)
 {
     WAVE_ASSERT(config_.placement == Deployment::kWave,
                 "only a Wave agent can be supervised");
-    supervisor_.emplace(sim_, runtime_, *kernel_, timeout, check_interval);
-    supervisor_->Supervise(
-        agent_id_, agent_,
-        [this] {
+    supervisor_.emplace(
+        runtime_, *kernel_, timeout, check_interval,
+        [this]() -> std::optional<ghost::SupervisedAgent> {
             // Host fallback: kernel-side CFS-class scheduling over the
             // same state, as in §3.3 ("falls back to on-host system
             // software"). Prestaging is an offload optimization and the
-            // aux stage stays with the NIC; the fallback runs plain.
+            // aux stage stays with the NIC; the fallback runs plain and
+            // unsupervised.
             ghost::AgentConfig fallback = agent_config_;
             fallback.prestage = false;
             fallback.aux_stage = nullptr;
-            return std::make_shared<ghost::GhostAgent>(
-                *transport_, std::make_shared<sched::CfsLitePolicy>(),
-                fallback);
-        },
-        machine_.HostCpu(config_.worker_cores));
+            runtime_.StartWaveAgent(
+                std::make_shared<ghost::GhostAgent>(
+                    *transport_, std::make_shared<sched::CfsLitePolicy>(),
+                    fallback),
+                machine_.HostCpu(config_.worker_cores));
+            return std::nullopt;
+        });
+    supervisor_->Supervise({agent_id_, agent_});
 }
 
 KvService&

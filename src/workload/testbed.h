@@ -159,8 +159,7 @@ class Testbed {
     std::unique_ptr<ghost::SchedTransport> transport_;
     std::optional<ghost::KernelSched> kernel_;
     ghost::AgentConfig agent_config_;
-    std::shared_ptr<ghost::GhostAgent> agent_;
-    std::optional<AgentContext> host_agent_ctx_;
+    ghost::GhostAgent* agent_ = nullptr;  ///< owned by its runtime slot
     AgentId agent_id_ = 0;
     sched::MultiQueueShinjukuPolicy* slo_policy_ = nullptr;
     std::optional<ghost::AgentSupervisor> supervisor_;

@@ -6,7 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
+#include <vector>
 
 #include "ghost/enclave.h"
 #include "ghost/kernel.h"
@@ -218,6 +220,98 @@ TEST(Enclave, RestartWhileTheKilledAgentPollsOutcomesMatchesItsGolden)
     EXPECT_GE(completions, 4);
     // Captured with the per-core outcome poll, before the batched one.
     EXPECT_EQ(sim.EventHash(), 0x85b9ecc85b1d018cull);
+}
+
+/** A FIFO policy that counts its ShouldPreempt() calls. */
+class PreemptCheckCountingFifo : public sched::FifoPolicy {
+  public:
+    explicit PreemptCheckCountingFifo(std::uint64_t& checks)
+        : checks_(checks)
+    {
+    }
+
+    bool
+    ShouldPreempt(int core, Tid tid, sim::DurationNs ran_for) const override
+    {
+        ++checks_;
+        return FifoPolicy::ShouldPreempt(core, tid, ran_for);
+    }
+
+  private:
+    std::uint64_t& checks_;
+};
+
+TEST(Enclave, OnHostRestartStopsTheKilledAgentAndServesEveryThread)
+{
+    // The On-Host twin of the golden above: a 20-core enclave whose
+    // agent runs on host core 20 is restarted while the agent waits on
+    // core 17's outcome queue. Twenty threads run and four wait in the
+    // killed agent's run queue. The killed agent must stop within one
+    // pass, finishing it on live state (its runtime slot still holds
+    // it), and the replacement must schedule the four re-announced
+    // threads. With 20 cores the replacement's first pass outlasts the
+    // rest of the killed one, so their Work on host core 20 never
+    // overlaps.
+    constexpr int kCores = 20;
+    constexpr Tid kThreads = 24;
+    sim::Simulator sim;
+    machine::Machine machine(sim, machine::MachineConfig{.host_cores = 24});
+    WaveRuntime runtime(sim, machine, pcie::PcieConfig{},
+                        api::OptimizationConfig::Full());
+    std::uint64_t checks = 0;
+    EnclaveConfig config;
+    for (int core = 0; core < kCores; ++core) config.cores.push_back(core);
+    config.offloaded = false;
+    config.host_agent_core = kCores;
+    config.policy_factory = [&checks] {
+        return std::make_shared<PreemptCheckCountingFifo>(checks);
+    };
+    Enclave enclave(runtime, config);
+    std::array<int, kThreads + 1> completions{};  // indexed by tid
+    for (Tid tid = 1; tid <= kThreads; ++tid) {
+        enclave.AddThread(tid, std::make_shared<YieldingWorker>(
+                                   1_ms, completions[tid]));
+    }
+    enclave.Start();
+    sim.RunFor(200_us);  // twenty threads run, four wait: idle passes
+
+    // Every pass asks the policy about each busy core right after its
+    // outcome poll; two such points a pass apart give the pass length.
+    auto step_past_outcome_poll = [&] {
+        const std::uint64_t checks0 = checks;
+        while (checks == checks0) ASSERT_TRUE(sim.Step());
+    };
+    step_past_outcome_poll();
+    const sim::TimeNs pass_begin = sim.Now();
+    step_past_outcome_poll();
+    const sim::DurationNs pass = sim.Now() - pass_begin;
+    // From there, one event finishes the loop overhead, one the next
+    // pass's message poll and 17 poll cores 0 to 16.
+    const std::uint64_t pass_checks = checks;
+    for (int i = 0; i < 2 + 17; ++i) ASSERT_TRUE(sim.Step());
+    ASSERT_EQ(checks, pass_checks) << "the pass left its outcome poll";
+
+    std::vector<Tid> waiting;
+    for (const auto& [tid, rec] : enclave.Kernel().Threads().All()) {
+        if (rec.state == ThreadState::kRunnable) waiting.push_back(tid);
+    }
+    ASSERT_EQ(waiting.size(), 4u);
+
+    const sim::TimeNs restart = sim.Now();
+    enclave.RestartAgent();
+    while (runtime.AgentAlive(0) && sim.Now() - restart <= pass) {
+        ASSERT_TRUE(sim.Step());
+    }
+    EXPECT_FALSE(runtime.AgentAlive(0))
+        << "the killed agent outlived its pass";
+
+    sim.RunFor(3_ms);
+    EXPECT_EQ(enclave.Generation(), 2);
+    EXPECT_TRUE(enclave.AgentAlive());
+    for (const Tid tid : waiting) {
+        EXPECT_GT(completions[tid], 0)
+            << "re-announced thread " << tid << " never ran";
+    }
 }
 
 }  // namespace

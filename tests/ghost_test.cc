@@ -7,6 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
 #include <optional>
 #include <span>
 #include <utility>
@@ -17,6 +20,7 @@
 #include "ghost/kernel.h"
 #include "ghost/transport.h"
 #include "machine/machine.h"
+#include "rpc/rpc_experiment.h"
 #include "sched/fifo.h"
 #include "sched/shinjuku.h"
 #include "sim/frame_pool.h"
@@ -344,7 +348,9 @@ class FixedWorkBody : public ThreadBody {
 
 /** Full-stack fixture: kernel + agent + FIFO policy on a transport. */
 struct StackFixture {
-    explicit StackFixture(bool wave, int cores = 2)
+    explicit StackFixture(
+        bool wave, int cores = 2,
+        std::function<Task<>(AgentContext&)> aux_stage = nullptr)
         : machine(sim),
           runtime(sim, machine, pcie::PcieConfig{},
                   api::OptimizationConfig::Full())
@@ -360,14 +366,9 @@ struct StackFixture {
         AgentConfig config;
         for (int i = 0; i < cores; ++i) config.cores.push_back(i);
         config.prestage_min_depth = 2;
+        config.aux_stage = std::move(aux_stage);
         agent = std::make_shared<GhostAgent>(*transport, policy, config);
-        if (wave) {
-            runtime.StartWaveAgent(agent, 0);
-        } else {
-            agent_ctx = std::make_unique<AgentContext>(
-                sim, machine.NicCpu(0));  // any spare CPU model works
-            sim.Spawn(agent->Run(*agent_ctx));
-        }
+        runtime.StartWaveAgent(agent, 0);  // NIC core 0 serves either binding
     }
 
     Simulator sim;
@@ -377,7 +378,6 @@ struct StackFixture {
     std::unique_ptr<KernelSched> kernel;
     std::shared_ptr<sched::FifoPolicy> policy;
     std::shared_ptr<GhostAgent> agent;
-    std::unique_ptr<AgentContext> agent_ctx;
 };
 
 class StackTest : public ::testing::TestWithParam<bool> {};
@@ -498,8 +498,7 @@ TEST_P(AgentOutcomeTest, RejectedReactiveTxnIsMatchedWithinItsCore)
     AgentConfig config;
     config.cores = {0, 1};
     auto agent = std::make_shared<GhostAgent>(*f.transport, policy, config);
-    AgentContext ctx(f.sim, f.machine.NicCpu(0));
-    f.sim.Spawn(agent->Run(ctx));
+    f.runtime.StartWaveAgent(agent, 0);
 
     f.sim.Spawn([](TransportFixture& fx) -> Task<> {
         co_await fx.sim.Delay(5_us);
@@ -575,14 +574,15 @@ StepToPassStart(Simulator& sim, const GhostAgent& agent)
  * overhead's, cores + 2 in all, and at most two coroutine frames, the
  * message poll's and the outcome poll's, whatever the core count. The
  * polls and the Work are frame-free awaiters, and no stage of the pass
- * is a task of its own. The agent's Run frame, built at spawn, must fit
- * the frame pool.
+ * is a task of its own; an idle @p aux_stage adds neither. The agent's
+ * Run frame, built at spawn, must fit the frame pool.
  */
 void
-ExpectIdlePassBudget(bool wave, int cores)
+ExpectIdlePassBudget(bool wave, int cores,
+                     std::function<Task<>(AgentContext&)> aux_stage = nullptr)
 {
     const std::uint64_t oversized0 = sim::detail::FramePoolOversized();
-    StackFixture f(wave, cores);
+    StackFixture f(wave, cores, std::move(aux_stage));
     f.sim.RunFor(1'000'000);  // warm-up: every frame size class pooled
     StepToPassStart(f.sim, *f.agent);
 
@@ -617,14 +617,21 @@ TEST(AgentPass, IdleOnHostPassIsOneEventPerPollAndFewFrames)
     ExpectIdlePassBudget(/*wave=*/false, 4);
 }
 
-/**
- * Forwards every call to @p inner except AgentPollAllOutcomes, which
- * keeps SchedTransport's default of one AgentPollOutcomes() per core:
- * the path a transport that overrides only the per-core poll takes.
- */
-class PerCorePollTransport : public SchedTransport {
+TEST(AgentPass, IdleOffloadAllRpcPassBuildsNoSteeringFrame)
+{
+    // Offload-All co-locates rpc's steering stage with the agent, which
+    // runs it every pass. With no request waiting the stage returns an
+    // empty task, so the pass keeps the two polls' frames and adds no
+    // event.
+    rpc::SteeringStage steering{
+        .queue = std::make_shared<std::deque<workload::Request>>()};
+    ExpectIdlePassBudget(/*wave=*/true, 16, rpc::SteeringAuxStage(steering));
+}
+
+/** Forwards every call to @p inner. */
+class ForwardingTransport : public SchedTransport {
   public:
-    explicit PerCorePollTransport(SchedTransport& inner) : inner_(inner) {}
+    explicit ForwardingTransport(SchedTransport& inner) : inner_(inner) {}
 
     Task<>
     HostSendMessage(const GhostMessage& message) override
@@ -686,12 +693,36 @@ class PerCorePollTransport : public SchedTransport {
         return inner_.AgentPollOutcomes(core, max);
     }
 
+    Task<>
+    AgentPollAllOutcomes(std::span<const int> cores, std::size_t max,
+                         OutcomeSink& sink) override
+    {
+        return inner_.AgentPollAllOutcomes(cores, max, sink);
+    }
+
     Task<> AgentKick(int core) override { return inner_.AgentKick(core); }
 
     int CoreCount() const override { return inner_.CoreCount(); }
 
-  private:
+  protected:
     SchedTransport& inner_;
+};
+
+/**
+ * Keeps SchedTransport's default AgentPollAllOutcomes, one
+ * AgentPollOutcomes() per core: the path a transport that overrides
+ * only the per-core poll takes.
+ */
+class PerCorePollTransport : public ForwardingTransport {
+  public:
+    using ForwardingTransport::ForwardingTransport;
+
+    Task<>
+    AgentPollAllOutcomes(std::span<const int> cores, std::size_t max,
+                         OutcomeSink& sink) override
+    {
+        return SchedTransport::AgentPollAllOutcomes(cores, max, sink);
+    }
 };
 
 /** Thread body that burns @p work per run and yields, runnable forever. */
@@ -775,6 +806,114 @@ TEST(AgentPass, BatchedOutcomePollMatchesThePerCoreDefault)
               per_core.agent.preempt_decisions);
     EXPECT_EQ(batched.agent.failed_commits, per_core.agent.failed_commits);
     EXPECT_EQ(batched.agent.kicks, per_core.agent.kicks);
+}
+
+/**
+ * Holds every block message back for @p delay, so the agent learns that
+ * the host adopted a prestaged decision at the block from its commit
+ * outcome before the block message itself arrives.
+ */
+class LateBlockTransport : public ForwardingTransport {
+  public:
+    LateBlockTransport(Simulator& sim, SchedTransport& inner,
+                       sim::DurationNs delay)
+        : ForwardingTransport(inner), sim_(sim), delay_(delay)
+    {
+    }
+
+    Task<>
+    HostSendMessage(const GhostMessage& message) override
+    {
+        if (message.type == MsgType::kThreadBlocked) {
+            sim_.Spawn(SendLate(message));
+            co_return;
+        }
+        co_await inner_.HostSendMessage(message);
+    }
+
+  private:
+    Task<>
+    SendLate(GhostMessage message)
+    {
+        co_await sim_.Delay(delay_);
+        co_await inner_.HostSendMessage(message);
+    }
+
+    Simulator& sim_;
+    sim::DurationNs delay_;
+};
+
+/** A FIFO policy that records what each preemption check sees. */
+class PreemptCheckRecorder : public sched::FifoPolicy {
+  public:
+    struct Check {
+        int core;
+        Tid tid;
+        sim::DurationNs ran_for;
+        int blocks_seen;  ///< block messages the policy had by then
+    };
+
+    void
+    OnMessage(const GhostMessage& message) override
+    {
+        if (message.type == MsgType::kThreadBlocked) ++blocks_seen_;
+        FifoPolicy::OnMessage(message);
+    }
+
+    bool
+    ShouldPreempt(int core, Tid tid, sim::DurationNs ran_for) const override
+    {
+        checks.push_back({core, tid, ran_for, blocks_seen_});
+        return FifoPolicy::ShouldPreempt(core, tid, ran_for);
+    }
+
+    mutable std::vector<Check> checks;
+
+  private:
+    int blocks_seen_ = 0;
+};
+
+TEST(AgentPass, AdoptedPrestageRunsFromItsCoresOutcomePoll)
+{
+    // Thread 1 runs on core 0 with thread 3 prestaged behind it, and
+    // thread 2 keeps core 1 busy. When thread 1 blocks, the host adopts
+    // thread 3 and reports the commit; the block message comes 20 us
+    // late. The agent must start thread 3's run when core 0's outcome
+    // poll finished, not when the pass's last poll did: only core 1's
+    // empty poll, one NIC-local flag read, lies between that instant and
+    // the pass's preemption check.
+    Simulator sim;
+    machine::Machine machine(sim);
+    const pcie::PcieConfig pcie;
+    WaveRuntime runtime(sim, machine, pcie, api::OptimizationConfig::Full());
+    WaveSchedTransport wave(runtime, 2);
+    LateBlockTransport transport(sim, wave, 20_us);
+    KernelSched kernel(sim, machine, transport);
+    auto policy = std::make_shared<PreemptCheckRecorder>();
+    AgentConfig config;
+    config.cores = {0, 1};
+    config.prestage_min_depth = 1;
+    runtime.StartWaveAgent(
+        std::make_shared<GhostAgent>(transport, policy, config), 0);
+    int completions = 0;
+    for (const auto& [tid, work] :
+         {std::pair{1, 5_us}, std::pair{2, 100_us}, std::pair{3, 5_us}}) {
+        kernel.AddThread(tid,
+                         std::make_shared<FixedWorkBody>(work, completions));
+    }
+    kernel.Start(config.cores);
+    sim.RunFor(50_us);
+
+    const auto& checks = policy->checks;
+    const auto first = std::find_if(
+        checks.begin(), checks.end(),
+        [](const PreemptCheckRecorder::Check& c) { return c.tid == 3; });
+    ASSERT_NE(first, checks.end()) << "thread 3 never ran";
+    EXPECT_EQ(first->core, 0);
+    EXPECT_EQ(first->blocks_seen, 0)
+        << "the block message reached the agent before the outcome";
+    EXPECT_EQ(first->ran_for, pcie.nic_wb_access_ns);
+    EXPECT_EQ(completions, 2);
 }
 
 }  // namespace

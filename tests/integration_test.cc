@@ -9,13 +9,13 @@
 
 #include "ghost/agent.h"
 #include "ghost/kernel.h"
+#include "ghost/supervisor.h"
 #include "ghost/transport.h"
 #include "machine/machine.h"
 #include "sched/fifo.h"
 #include "sched/shinjuku.h"
 #include "sim/simulator.h"
 #include "wave/runtime.h"
-#include "wave/watchdog.h"
 #include "workload/kv_service.h"
 #include "workload/loadgen.h"
 #include "workload/sched_experiment.h"
@@ -25,7 +25,6 @@ namespace {
 
 using namespace sim::time_literals;
 using sim::Simulator;
-using sim::Task;
 
 /** Full Wave KV deployment with direct access to every layer. */
 struct WaveWorld {
@@ -75,54 +74,50 @@ TEST(Integration, AgentWedgeWatchdogRestartKeepsServing)
     world.sim.Spawn(
         workload::RunLoadGenerator(world.sim, world.service, lg));
 
-    // Watchdog: kill + start a fresh agent with a FRESH policy. The
-    // replacement re-learns runnable threads from kernel re-announces.
-    bool restarted = false;
-    Watchdog dog(world.sim, 20_ms, 1_ms, [&] {
-        world.runtime.KillWaveAgent(gen1);
-        auto policy2 = std::make_shared<sched::FifoPolicy>();
-        ghost::AgentConfig cfg;
-        cfg.cores = world.worker_cores;
-        auto agent2 = std::make_shared<ghost::GhostAgent>(
-            world.transport, policy2, cfg);
-        world.runtime.StartWaveAgent(agent2, 1);
-        for (const auto& [tid, rec] : world.kernel.Threads().All()) {
-            if (rec.state == ghost::ThreadState::kRunnable) {
-                // Source-of-truth re-pull: re-announce runnable threads.
-                world.sim.Spawn([](ghost::KernelSched& k,
-                                   ghost::Tid t) -> Task<> {
-                    k.WakeThread(t);
-                    co_return;
-                }(world.kernel, tid));
-            }
-        }
-        // Nudge blocked-worker bookkeeping: the dispatcher re-submits
-        // by waking idle workers on the next request anyway.
-        restarted = true;
-    });
-    dog.Arm();
-    world.sim.Spawn([](Simulator& s, ghost::KernelSched& k,
-                       Watchdog& d) -> Task<> {
-        std::uint64_t last = 0;
-        for (;;) {
-            co_await s.Delay(1_ms);
-            if (k.Stats().commits_ok > last) {
-                last = k.Stats().commits_ok;
-                d.NoteDecision();
-            }
-        }
-    }(world.sim, world.kernel, dog));
+    // Watchdog restart: the supervisor kills the agent, starts a fresh
+    // agent with a FRESH policy on NIC core 1 and keeps it supervised,
+    // then has the kernel re-announce every runnable thread so the
+    // replacement re-learns them (source-of-truth re-pull).
+    ghost::AgentSupervisor supervisor(
+        world.runtime, world.kernel, 20_ms, 1_ms, [&] {
+            world.policy = std::make_shared<sched::FifoPolicy>();
+            const AgentId id = world.StartAgent(1);
+            return ghost::SupervisedAgent{id, world.agent.get()};
+        });
+    supervisor.Supervise({gen1, world.agent.get()});
 
-    // Wedge the first agent at 30 ms without telling anyone.
-    world.sim.Schedule(30_ms, [&] { world.runtime.KillWaveAgent(gen1); });
+    // At 30 ms a burst of 1 ms requests wakes every worker: four run,
+    // the rest queue in the agent's run queue. Then the agent wedges
+    // without telling anyone, and only a re-announce reaches the workers
+    // still queued in its run queue.
+    world.sim.Schedule(30_ms, [&] {
+        for (int i = 0; i < 16; ++i) {
+            world.service.Submit(workload::Request{
+                .arrival = world.sim.Now(), .service_ns = 1_ms});
+        }
+    });
+    world.sim.Schedule(30_ms + 50_us, [&] {
+        ASSERT_GT(world.policy->RunQueueDepth(), 0u);
+        world.runtime.KillWaveAgent(gen1);
+    });
 
     world.sim.RunUntil(sim::TimeNs{60_ms});
     const std::uint64_t at_mid = world.service.Completed();
-    EXPECT_TRUE(restarted) << "watchdog should have fired by now";
+    EXPECT_EQ(supervisor.Stats().expiries, 1u)
+        << "watchdog should have fired by now";
 
     world.sim.RunUntil(sim::TimeNs{200_ms});
     EXPECT_GT(world.service.Completed(), at_mid + 1000)
         << "service must keep completing requests after recovery";
+
+    // Every worker ran again: once the load drains, none is left
+    // runnable in the dead agent's run queue.
+    world.sim.RunUntil(sim::TimeNs{210_ms});
+    EXPECT_EQ(world.service.PendingDepth(), 0u);
+    for (const auto& [tid, rec] : world.kernel.Threads().All()) {
+        EXPECT_EQ(rec.state, ghost::ThreadState::kBlocked)
+            << "worker " << tid << " was stranded";
+    }
 }
 
 TEST(Integration, UpiDeploymentServesLoad)

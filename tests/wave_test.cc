@@ -256,8 +256,6 @@ class CountingAgent : public Agent {
   public:
     explicit CountingAgent(int& iterations) : iterations_(iterations) {}
 
-    std::string Name() const override { return "counting-agent"; }
-
     Task<>
     Run(AgentContext& ctx) override
     {
@@ -369,7 +367,6 @@ TEST(Watchdog, KillsAndAllowsRestart)
     /** An agent that wedges: stops polling after 3 iterations. */
     class WedgingAgent : public Agent {
       public:
-        std::string Name() const override { return "wedging-agent"; }
         Task<>
         Run(AgentContext& ctx) override
         {
