@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "check/hooks.h"
-#include "check/protocol.h"
 
 namespace wave::channel {
 
@@ -35,8 +34,24 @@ DmaQueue::DmaQueue(sim::Simulator& sim, pcie::DmaEngine& dma,
       producer_local_ns_(producer_local_ns),
       consumer_local_ns_(consumer_local_ns),
       producer_ring_(layout_.BytesNeeded()),
-      consumer_ring_(layout_.BytesNeeded())
+      consumer_ring_(layout_.BytesNeeded()),
+      producer_(check::Domain::kDma, "DmaQueue::Send", "DmaQueue::Send"),
+      consumer_(check::Domain::kDma, "DmaQueue::Poll", "DmaQueue::Poll")
 {
+}
+
+void
+DmaQueue::AttachProtocol([[maybe_unused]] check::ProtocolChecker* protocol)
+{
+    // No detector: the slots land inside the DMA engine.
+    WAVE_CHECK_HOOK({
+        const std::size_t slots = layout_.Config().capacity;
+        const std::size_t bytes = layout_.ConsumedCounterOffset();
+        producer_.Bind(nullptr, protocol, sim::kNoActor, this, slots, 0,
+                       bytes);
+        consumer_.Bind(nullptr, protocol, sim::kNoActor, this, slots, 0,
+                       bytes);
+    });
 }
 
 // wave-lifetime(caller-awaits)
@@ -92,12 +107,8 @@ DmaQueue::Send(const std::vector<Bytes>& messages, bool sync)
                                 sizeof(gen));
         co_await LocalAccess(sim_, producer_local_ns_,
                              layout_.SlotSize());
-        WAVE_CHECK_HOOK({
-            if (protocol_ != nullptr) {
-                protocol_->OnStreamSend(this, head_, check::Domain::kDma,
-                                        "DmaQueue::Send");
-            }
-        });
+        WAVE_CHECK_HOOK(producer_.SlotPublished(
+            head_, layout_.PayloadOffset(head_), message.size()));
         ++head_;
         ++sent;
     }
@@ -121,12 +132,8 @@ DmaQueue::PollInto(Bytes& out)
     consumer_ring_.ReadRaw(layout_.PayloadOffset(tail_), out.data(),
                            out.size());
     co_await LocalAccess(sim_, consumer_local_ns_, out.size());
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            protocol_->OnStreamRecv(this, tail_, check::Domain::kDma,
-                                    "DmaQueue::Poll");
-        }
-    });
+    WAVE_CHECK_HOOK(consumer_.SlotConsumed(
+        tail_, layout_.PayloadOffset(tail_), out.size()));
     ++tail_;
     co_await MaybeSyncCounter();
     co_return true;

@@ -28,13 +28,10 @@
 #include <vector>
 
 #include "channel/layout.h"
+#include "check/stream_end.h"
 #include "pcie/dma.h"
 #include "pcie/memory.h"
 #include "sim/task.h"
-
-namespace wave::check {
-class ProtocolChecker;
-}
 
 namespace wave::channel {
 
@@ -86,10 +83,7 @@ class DmaQueue {
      * the engine, so a sound release point would need completion
      * callbacks (see docs/checker.md).
      */
-    void AttachProtocol(check::ProtocolChecker* protocol)
-    {
-        protocol_ = protocol;
-    }
+    void AttachProtocol(check::ProtocolChecker* protocol);
 
   private:
     /** DMAs the slot range [from, to) from producer to consumer ring. */
@@ -111,7 +105,8 @@ class DmaQueue {
     std::uint64_t tail_ = 0;            ///< consumer: next index to read
     std::uint64_t last_synced_ = 0;     ///< consumer: last advertised tail
     std::uint64_t producer_view_of_consumed_ = 0;
-    check::ProtocolChecker* protocol_ = nullptr;
+    check::StreamEnd producer_;
+    check::StreamEnd consumer_;
 };
 
 }  // namespace wave::channel

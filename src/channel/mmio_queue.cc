@@ -4,19 +4,11 @@
 
 #include <cstring>
 
-#include "check/hb.h"
 #include "check/hooks.h"
-#include "check/protocol.h"
 
 namespace wave::channel {
 
 namespace {
-
-/**
- * Sync-variable tag for the consumed counter. Slot sync vars are
- * tagged with the slot's absolute index, which never reaches 2^64-1.
- */
-constexpr std::uint64_t kCounterSyncTag = check::HbRaceDetector::kCounterTag;
 
 std::uint64_t
 FromFlagBytes(const std::byte* data)
@@ -29,21 +21,21 @@ FromFlagBytes(const std::byte* data)
 }  // namespace
 
 void
-MmioQueue::RegisterWith(check::HbRaceDetector* hb) const
+MmioEndpoint::BindCheckers([[maybe_unused]] check::HbRaceDetector* hb,
+                           [[maybe_unused]] check::ProtocolChecker* protocol,
+                           [[maybe_unused]] sim::ActorId actor)
 {
-    WAVE_CHECK_HOOK({
-        if (hb != nullptr) {
-            hb->RegisterSync(this, layout_.Config().capacity);
-            hb->RegisterRegion(this, base_, SlotBytes());
-        }
-    });
+    WAVE_CHECK_HOOK(end_.Bind(hb, protocol, actor, &queue_,
+                              queue_.Layout().Config().capacity,
+                              queue_.Base(), queue_.SlotBytes()));
 }
 
 // --- HostProducer ---
 
 HostProducer::HostProducer(MmioQueue& queue, pcie::PteType write_type,
                            pcie::PteType counter_read_type)
-    : queue_(queue),
+    : MmioEndpoint(queue, check::Domain::kHost,
+                   "HostProducer::Send[payload]", "HostProducer::Send"),
       write_map_(queue.Dram(), write_type, queue.Base(), queue.SlotBytes()),
       counter_map_(queue.Dram(), counter_read_type, queue.CounterAddr(),
                    RingLayout::kFlagSize)
@@ -65,11 +57,7 @@ HostProducer::RefreshConsumed()
     cached_consumed_ = counter;
     // Observing the consumer's counter is the acquire half of the lap
     // handshake: it is what licenses overwriting consumed slots.
-    WAVE_CHECK_HOOK({
-        if (hb_ != nullptr) {
-            hb_->OnAcquire(actor_, &queue_, kCounterSyncTag);
-        }
-    });
+    WAVE_CHECK_HOOK(end_.CounterObserved());
 }
 
 // wave-lifetime(caller-awaits)
@@ -97,22 +85,10 @@ HostProducer::Send(const std::vector<Bytes>& messages)
         const std::uint64_t gen = layout.GenerationOf(head_);
         co_await write_map_.Write(queue_.FlagAddr(head_), &gen,
                                   sizeof(gen));
-        // The payload store is a data access; the flag store is the
-        // release half of the publication handshake (the flag bytes
-        // themselves are never treated as data). The access must be
-        // recorded before the release advances this actor's clock.
-        WAVE_CHECK_HOOK({
-            if (hb_ != nullptr) {
-                hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(head_),
-                              message.size(), /*is_write=*/true,
-                              "HostProducer::Send[payload]");
-                hb_->OnRelease(actor_, &queue_, head_);
-            }
-            if (protocol_ != nullptr) {
-                protocol_->OnStreamSend(&queue_, head_, check::Domain::kHost,
-                                        "HostProducer::Send");
-            }
-        });
+        // The flag store publishes the slot (the flag bytes themselves
+        // are never treated as data).
+        WAVE_CHECK_HOOK(end_.SlotPublished(
+            head_, queue_.PayloadAddr(head_), message.size()));
         ++head_;
         ++sent;
     }
@@ -125,7 +101,9 @@ HostProducer::Send(const std::vector<Bytes>& messages)
 // --- NicConsumer ---
 
 NicConsumer::NicConsumer(MmioQueue& queue, pcie::PteType local_type)
-    : queue_(queue), map_(queue.Dram(), local_type)
+    : MmioEndpoint(queue, check::Domain::kNic,
+                   "NicConsumer::Poll[payload]", "NicConsumer::Poll"),
+      map_(queue.Dram(), local_type)
 {
 }
 
@@ -140,29 +118,15 @@ NicConsumer::Take(Bytes& out)
     out.resize(queue_.Layout().Config().payload_size);
     co_await map_.Read(queue_.PayloadAddr(tail_), out.data(), out.size());
     // The matching flag poll is the acquire half of the publication
-    // handshake; it must precede the payload-read race check.
-    WAVE_CHECK_HOOK({
-        if (hb_ != nullptr) {
-            hb_->OnAcquire(actor_, &queue_, tail_);
-            hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(tail_),
-                          out.size(), /*is_write=*/false,
-                          "NicConsumer::Poll[payload]");
-        }
-        if (protocol_ != nullptr) {
-            protocol_->OnStreamRecv(&queue_, tail_, check::Domain::kNic,
-                                    "NicConsumer::Poll");
-        }
-    });
+    // handshake.
+    WAVE_CHECK_HOOK(
+        end_.SlotConsumed(tail_, queue_.PayloadAddr(tail_), out.size()));
     ++tail_;
     if (tail_ - last_synced_ >= queue_.Layout().Config().sync_interval) {
         co_await map_.Write(queue_.CounterAddr(), &tail_, sizeof(tail_));
         // Publishing the counter releases every slot read so far: the
         // producer may overwrite them only after acquiring this value.
-        WAVE_CHECK_HOOK({
-            if (hb_ != nullptr) {
-                hb_->OnRelease(actor_, &queue_, kCounterSyncTag);
-            }
-        });
+        WAVE_CHECK_HOOK(end_.CounterPublished());
         last_synced_ = tail_;
     }
 }
@@ -210,7 +174,9 @@ NicConsumer::PollBatch(std::size_t max)
 // --- NicProducer ---
 
 NicProducer::NicProducer(MmioQueue& queue, pcie::PteType local_type)
-    : queue_(queue), map_(queue.Dram(), local_type)
+    : MmioEndpoint(queue, check::Domain::kNic,
+                   "NicProducer::Send[payload]", "NicProducer::Send"),
+      map_(queue.Dram(), local_type)
 {
 }
 
@@ -228,14 +194,7 @@ NicProducer::Full()
     co_await map_.Read(queue_.CounterAddr(), &counter, sizeof(counter),
                        /*tolerate_stale=*/true);  // stale => looks full
     cached_consumed_ = counter;
-    // Acquire the consumer's release; a stale value joins an *older*
-    // release state, which only adds edges the producer then does not
-    // rely on (it refuses to overwrite), so this stays sound.
-    WAVE_CHECK_HOOK({
-        if (hb_ != nullptr) {
-            hb_->OnAcquire(actor_, &queue_, kCounterSyncTag);
-        }
-    });
+    WAVE_CHECK_HOOK(end_.CounterObserved());
     co_return head_ - cached_consumed_ >= capacity;
 }
 
@@ -252,18 +211,8 @@ NicProducer::Send(const Bytes& message)
                         message.size());
     const std::uint64_t gen = layout.GenerationOf(head_);
     co_await map_.Write(queue_.FlagAddr(head_), &gen, sizeof(gen));
-    WAVE_CHECK_HOOK({
-        if (hb_ != nullptr) {
-            hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(head_),
-                          message.size(), /*is_write=*/true,
-                          "NicProducer::Send[payload]");
-            hb_->OnRelease(actor_, &queue_, head_);
-        }
-        if (protocol_ != nullptr) {
-            protocol_->OnStreamSend(&queue_, head_, check::Domain::kNic,
-                                    "NicProducer::Send");
-        }
-    });
+    WAVE_CHECK_HOOK(end_.SlotPublished(head_, queue_.PayloadAddr(head_),
+                                       message.size()));
     ++head_;
     co_return true;
 }
@@ -284,7 +233,8 @@ NicProducer::SendBatch(const std::vector<Bytes>& messages)
 
 HostConsumer::HostConsumer(MmioQueue& queue, pcie::PteType read_type,
                            pcie::PteType counter_write_type)
-    : queue_(queue),
+    : MmioEndpoint(queue, check::Domain::kHost,
+                   "HostConsumer::Poll[payload]", "HostConsumer::Poll"),
       read_map_(queue.Dram(), read_type, queue.Base(), queue.SlotBytes()),
       counter_map_(queue.Dram(), counter_write_type, queue.CounterAddr(),
                    RingLayout::kFlagSize)
@@ -299,11 +249,7 @@ HostConsumer::MaybeSyncCounter()
         co_await counter_map_.Write(queue_.CounterAddr(), &tail_,
                                     sizeof(tail_));
         co_await counter_map_.Sfence();
-        WAVE_CHECK_HOOK({
-            if (hb_ != nullptr) {
-                hb_->OnRelease(actor_, &queue_, kCounterSyncTag);
-            }
-        });
+        WAVE_CHECK_HOOK(end_.CounterPublished());
         last_synced_ = tail_;
     }
 }
@@ -333,18 +279,8 @@ HostConsumer::PollInto(Bytes& out, bool flush_first)
     if (flag != layout.GenerationOf(tail_)) {
         co_return false;
     }
-    WAVE_CHECK_HOOK({
-        if (hb_ != nullptr) {
-            hb_->OnAcquire(actor_, &queue_, tail_);
-            hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(tail_),
-                          layout.Config().payload_size,
-                          /*is_write=*/false, "HostConsumer::Poll[payload]");
-        }
-        if (protocol_ != nullptr) {
-            protocol_->OnStreamRecv(&queue_, tail_, check::Domain::kHost,
-                                    "HostConsumer::Poll");
-        }
-    });
+    WAVE_CHECK_HOOK(end_.SlotConsumed(tail_, queue_.PayloadAddr(tail_),
+                                      layout.Config().payload_size));
     out.resize(layout.Config().payload_size);
     ++tail_;
     co_await MaybeSyncCounter();

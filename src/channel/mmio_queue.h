@@ -25,14 +25,10 @@
 #include <vector>
 
 #include "channel/layout.h"
+#include "check/stream_end.h"
 #include "pcie/mmio.h"
 #include "sim/actor.h"
 #include "sim/task.h"
-
-namespace wave::check {
-class HbRaceDetector;
-class ProtocolChecker;
-}
 
 namespace wave::channel {
 
@@ -77,21 +73,55 @@ class MmioQueue {
         return layout_.ConsumedCounterOffset();
     }
 
-    /**
-     * Sizes @p hb's state for this ring: one sync slot per ring slot
-     * (plus the counter's) and the lines of the slot array. Both
-     * endpoints bind; the second call finds the same sizes.
-     */
-    void RegisterWith(check::HbRaceDetector* hb) const;
-
   private:
     pcie::NicDram& dram_;
     std::size_t base_;
     RingLayout layout_;
 };
 
+/**
+ * What every endpoint of one ring shares: the ring, and the end of its
+ * stream the checkers see (check/stream_end.h).
+ */
+class MmioEndpoint {
+  public:
+    /** The underlying ring (e.g. to reach the DRAM's checker). */
+    MmioQueue& Queue() { return queue_; }
+
+    /** Payload bytes per entry of the underlying ring. */
+    std::size_t
+    QueuePayloadSize() const
+    {
+        return queue_.Layout().Config().payload_size;
+    }
+
+    /**
+     * Attaches the protocol/HB checkers. @p actor identifies this
+     * endpoint's execution context; the binding is structural (one
+     * actor per endpoint) because the simulator has no ambient
+     * "current actor" across coroutine suspensions (see sim/actor.h).
+     * Binding also sizes the detector's state for this ring: one sync
+     * slot per ring slot and the lines of the slot array.
+     */
+    void BindCheckers(check::HbRaceDetector* hb,
+                      check::ProtocolChecker* protocol, sim::ActorId actor);
+
+    sim::ActorId HbActor() const { return end_.Actor(); }
+
+  protected:
+    /** @p access_site and @p stream_site label this end's reports. */
+    MmioEndpoint(MmioQueue& queue, check::Domain domain,
+                 const char* access_site, const char* stream_site)
+        : queue_(queue), end_(domain, access_site, stream_site)
+    {
+    }
+
+    MmioQueue& queue_;
+    check::StreamEnd end_;
+};
+
 /** Host-side producer for a host->NIC message queue. */
-class HostProducer {
+class HostProducer : public MmioEndpoint {
   public:
     /**
      * @param write_type PTE type for entry stores: kUncacheable
@@ -115,49 +145,16 @@ class HostProducer {
     /** Number of entries enqueued over the queue's lifetime. */
     std::uint64_t Enqueued() const { return head_; }
 
-    /** Payload bytes per entry of the underlying ring. */
-    std::size_t
-    QueuePayloadSize() const
-    {
-        return queue_.Layout().Config().payload_size;
-    }
-
     const pcie::MmioStats& WriteStats() const { return write_map_.Stats(); }
-
-    /** The underlying ring (e.g. to reach the DRAM's checker). */
-    MmioQueue& Queue() { return queue_; }
-
-    /**
-     * Attaches the protocol/HB checkers. @p actor identifies this
-     * endpoint's execution context; the binding is structural (one
-     * actor per endpoint) because the simulator has no ambient
-     * "current actor" across coroutine suspensions (see sim/actor.h).
-     * Binding also sizes the detector's state for this ring.
-     */
-    void
-    BindCheckers(check::HbRaceDetector* hb,
-                 check::ProtocolChecker* protocol, sim::ActorId actor)
-    {
-        queue_.RegisterWith(hb);
-        hb_ = hb;
-        protocol_ = protocol;
-        actor_ = actor;
-    }
-
-    sim::ActorId HbActor() const { return actor_; }
 
   private:
     /** Refreshes the cached consumed counter over PCIe. */
     sim::Task<> RefreshConsumed();
 
-    MmioQueue& queue_;
     pcie::HostMmioMapping write_map_;
     pcie::HostMmioMapping counter_map_;
     std::uint64_t head_ = 0;           ///< next absolute index to write
     std::uint64_t cached_consumed_ = 0;
-    check::HbRaceDetector* hb_ = nullptr;
-    check::ProtocolChecker* protocol_ = nullptr;
-    sim::ActorId actor_ = sim::kNoActor;
 };
 
 /**
@@ -169,7 +166,7 @@ class HostProducer {
  * Take() then consumes the published slot. PollInto, PollBatch and Poll
  * are built from the two.
  */
-class NicConsumer {
+class NicConsumer : public MmioEndpoint {
   public:
     /** @param local_type kUncacheable (baseline) or kWriteBack. */
     NicConsumer(MmioQueue& queue, pcie::PteType local_type);
@@ -238,34 +235,14 @@ class NicConsumer {
 
     std::uint64_t Consumed() const { return tail_; }
 
-    /** The underlying ring (e.g. to reach the DRAM's checker). */
-    MmioQueue& Queue() { return queue_; }
-
-    /** Attaches the protocol/HB checkers (see HostProducer). */
-    void
-    BindCheckers(check::HbRaceDetector* hb,
-                 check::ProtocolChecker* protocol, sim::ActorId actor)
-    {
-        queue_.RegisterWith(hb);
-        hb_ = hb;
-        protocol_ = protocol;
-        actor_ = actor;
-    }
-
-    sim::ActorId HbActor() const { return actor_; }
-
   private:
-    MmioQueue& queue_;
     pcie::NicLocalMapping map_;
     std::uint64_t tail_ = 0;  ///< next absolute index to read
     std::uint64_t last_synced_ = 0;
-    check::HbRaceDetector* hb_ = nullptr;
-    check::ProtocolChecker* protocol_ = nullptr;
-    sim::ActorId actor_ = sim::kNoActor;
 };
 
 /** NIC-side producer for a NIC->host decision queue. */
-class NicProducer {
+class NicProducer : public MmioEndpoint {
   public:
     NicProducer(MmioQueue& queue, pcie::PteType local_type);
 
@@ -277,44 +254,17 @@ class NicProducer {
 
     std::uint64_t Enqueued() const { return head_; }
 
-    /** Payload bytes per entry of the underlying ring. */
-    std::size_t
-    QueuePayloadSize() const
-    {
-        return queue_.Layout().Config().payload_size;
-    }
-
     /** True if the ring has no free slot (by local counter read). */
     sim::Task<bool> Full();
 
-    /** The underlying ring (e.g. to reach the DRAM's checker). */
-    MmioQueue& Queue() { return queue_; }
-
-    /** Attaches the protocol/HB checkers (see HostProducer). */
-    void
-    BindCheckers(check::HbRaceDetector* hb,
-                 check::ProtocolChecker* protocol, sim::ActorId actor)
-    {
-        queue_.RegisterWith(hb);
-        hb_ = hb;
-        protocol_ = protocol;
-        actor_ = actor;
-    }
-
-    sim::ActorId HbActor() const { return actor_; }
-
   private:
-    MmioQueue& queue_;
     pcie::NicLocalMapping map_;
     std::uint64_t head_ = 0;
     std::uint64_t cached_consumed_ = 0;
-    check::HbRaceDetector* hb_ = nullptr;
-    check::ProtocolChecker* protocol_ = nullptr;
-    sim::ActorId actor_ = sim::kNoActor;
 };
 
 /** Host-side consumer for a NIC->host decision queue. */
-class HostConsumer {
+class HostConsumer : public MmioEndpoint {
   public:
     /**
      * @param read_type kUncacheable (baseline) or kWriteThrough
@@ -355,42 +305,15 @@ class HostConsumer {
 
     std::uint64_t Consumed() const { return tail_; }
 
-    /** Payload bytes per entry of the underlying ring. */
-    std::size_t
-    QueuePayloadSize() const
-    {
-        return queue_.Layout().Config().payload_size;
-    }
-
     const pcie::MmioStats& ReadStats() const { return read_map_.Stats(); }
-
-    /** The underlying ring (e.g. to reach the DRAM's checker). */
-    MmioQueue& Queue() { return queue_; }
-
-    /** Attaches the protocol/HB checkers (see HostProducer). */
-    void
-    BindCheckers(check::HbRaceDetector* hb,
-                 check::ProtocolChecker* protocol, sim::ActorId actor)
-    {
-        queue_.RegisterWith(hb);
-        hb_ = hb;
-        protocol_ = protocol;
-        actor_ = actor;
-    }
-
-    sim::ActorId HbActor() const { return actor_; }
 
   private:
     sim::Task<> MaybeSyncCounter();
 
-    MmioQueue& queue_;
     pcie::HostMmioMapping read_map_;
     pcie::HostMmioMapping counter_map_;
     std::uint64_t tail_ = 0;
     std::uint64_t last_synced_ = 0;
-    check::HbRaceDetector* hb_ = nullptr;
-    check::ProtocolChecker* protocol_ = nullptr;
-    sim::ActorId actor_ = sim::kNoActor;
 };
 
 }  // namespace wave::channel

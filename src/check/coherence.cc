@@ -194,13 +194,6 @@ CoherenceChecker::OnOrderingPoint(const char* /*what*/)
 }
 
 void
-CoherenceChecker::OnShmAccess(std::size_t bytes)
-{
-    (void)bytes;
-    stats_.shm_accesses += 1;
-}
-
-void
 CoherenceChecker::Report(ViolationKind kind, std::size_t line,
                          const AccessSite& read, const AccessSite& write)
 {

@@ -102,6 +102,8 @@ struct CheckerStats {
     std::uint64_t wc_drains = 0;
     std::uint64_t dma_writes = 0;
     std::uint64_t ordering_points = 0;
+    /** Always 0: coherent shared memory is not watched. Only perfbench's
+        hook total still reads it. */
     std::uint64_t shm_accesses = 0;
     std::uint64_t tolerated_stale_reads = 0;
 };
@@ -172,9 +174,6 @@ class CoherenceChecker {
 
     /** An ordering point executed (msix, txn-commit, dma-completion). */
     void OnOrderingPoint(const char* what);
-
-    /** Coherent shared-memory traffic (counted, never racy). */
-    void OnShmAccess(std::size_t bytes);
 
     // --- Results ---
 

@@ -153,7 +153,8 @@ KernelSched::CommitDecision(int core, const PendingDecision& pd)
         }
     });
     if (run && status != api::TxnStatus::kFailedRejected) {
-        WAVE_TRACE_EVENT(&sim_, "ghost", "commit%s txn=%llu tid=%d core=%d",
+        WAVE_TRACE_EVENT(&sim_, sim::TraceCategory::kGhost,
+                         "commit%s txn=%llu tid=%d core=%d",
                          committed ? "" : " FAILED",
                          static_cast<unsigned long long>(pd.txn_id),
                          pd.decision.tid, core);
@@ -228,7 +229,7 @@ KernelSched::CoreLoop(int core)
                         }
                     });
                     ++stats_.preemptions;
-                    WAVE_TRACE_EVENT(&sim_, "ghost",
+                    WAVE_TRACE_EVENT(&sim_, sim::TraceCategory::kGhost,
                                      "preempt tid=%d core=%d",
                                      current->tid, core);
                     const Tid preempted = current->tid;

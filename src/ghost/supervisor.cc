@@ -18,7 +18,8 @@ AgentSupervisor::AgentSupervisor(WaveRuntime& runtime, KernelSched& kernel,
         dog_ = std::make_unique<Watchdog>(
             runtime_.Sim(), timeout, check_interval_, [this] {
                 ++stats_.expiries;
-                WAVE_TRACE_EVENT(&runtime_.Sim(), "supervisor",
+                WAVE_TRACE_EVENT(&runtime_.Sim(),
+                                 sim::TraceCategory::kSupervisor,
                                  "watchdog expiry: replacing agent %zu",
                                  watched_.id);
                 Replace();

@@ -93,6 +93,13 @@ class OffloadPipeline {
      */
     sim::Task<> RunColocatedSlice(machine::Cpu& cpu, std::size_t budget);
 
+    /** True when RunColocatedSlice() would find first-segment work. */
+    bool
+    ColocatedWorkPending() const
+    {
+        return started_ && !rings_[0].Empty();
+    }
+
     /** Packet latencies are recorded only for arrivals in [b, e). */
     void
     SetMeasureWindow(sim::TimeNs begin, sim::TimeNs end)

@@ -29,6 +29,20 @@ constexpr sim::DurationNs kSliceNs = 30'000;
 
 }  // namespace
 
+std::function<sim::Task<>(AgentContext&)>
+ColocatedAuxStage(OffloadPipeline& pipeline, const ghost::SchedPolicy& policy)
+{
+    // Not itself a coroutine: it reads its captures once, to build the
+    // slice's task — the pattern W202 leaves open (as SteeringAuxStage).
+    return [&pipeline, &policy](AgentContext& ctx) {
+        const std::size_t budget =
+            policy.RunQueueDepth() >= kColoSkipDepth ? 0 : kColoBatch;
+        return budget == 0 || !pipeline.ColocatedWorkPending()
+                   ? sim::Task<>{}
+                   : pipeline.RunColocatedSlice(ctx.Cpu(), budget);
+    };
+}
+
 OffloadSweepResult
 RunOffloadSweep(const OffloadSweepConfig& cfg)
 {
@@ -60,16 +74,8 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
     agent_cfg.iter_window_end = measure_end;
     if (datapath) {
         // The co-located slice: bounded stage work on the agent's own
-        // core, skipped while the scheduling run queue is deep. The
-        // lambda is a plain adapter (not a coroutine) so the frame it
-        // returns borrows only the long-lived pipeline and context —
-        // see rpc_experiment.cc for the W202 rationale.
-        ghost::SchedPolicy* pol = policy.get();
-        agent_cfg.aux_stage = [&pipeline, pol](AgentContext& ctx) {
-            const std::size_t budget =
-                pol->RunQueueDepth() >= kColoSkipDepth ? 0 : kColoBatch;
-            return pipeline.RunColocatedSlice(ctx.Cpu(), budget);
-        };
+        // core, skipped while the scheduling run queue is deep.
+        agent_cfg.aux_stage = ColocatedAuxStage(pipeline, *policy);
     }
     bed.StartAgent(policy, std::move(agent_cfg));
 

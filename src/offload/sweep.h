@@ -24,14 +24,28 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "ghost/policy.h"
 #include "offload/packetgen.h"
 #include "offload/pipeline.h"
 #include "sim/inject.h"
+#include "sim/task.h"
 #include "sim/time.h"
+#include "wave/runtime.h"
 
 namespace wave::offload {
+
+/**
+ * The agent aux stage (ghost::AgentConfig::aux_stage) that runs
+ * @p pipeline's co-located slice on the agent's core: a bounded batch
+ * per pass, none while @p policy's run queue is deep. Both must outlive
+ * the agent. With nothing to do it returns an empty task, so an idle
+ * agent pass builds no frame for it.
+ */
+std::function<sim::Task<>(AgentContext&)> ColocatedAuxStage(
+    OffloadPipeline& pipeline, const ghost::SchedPolicy& policy);
 
 /** One contention-sweep point. */
 struct OffloadSweepConfig {

@@ -5,7 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
+#include <iterator>
 
 #include "sim/simulator.h"
 
@@ -13,35 +13,50 @@ namespace wave::sim {
 
 namespace {
 
+/** Category names, indexed by TraceCategory. */
+constexpr const char* kNames[] = {"ghost", "watchdog", "supervisor"};
+
+std::uint32_t
+Bit(TraceCategory category)
+{
+    return 1u << static_cast<unsigned>(category);
+}
+
+/** Enables the categories @p spec names (see Trace::EnableNamed). */
+void
+EnableNamedIn(std::uint32_t& mask, const std::string& spec)
+{
+    std::size_t start = 0;
+    while (start <= spec.size()) {
+        std::size_t comma = spec.find(',', start);
+        if (comma == std::string::npos) comma = spec.size();
+        const std::string name = spec.substr(start, comma - start);
+        start = comma + 1;
+        if (name.empty()) continue;
+        std::uint32_t bits = name == "all" ? (1u << std::size(kNames)) - 1 : 0;
+        for (std::size_t i = 0; i < std::size(kNames); ++i) {
+            if (name == kNames[i]) bits |= 1u << i;
+        }
+        if (bits == 0) {
+            std::fprintf(stderr,
+                         "WAVE_TRACE: ignoring unknown category \"%s\" "
+                         "(known: ghost, watchdog, supervisor, all)\n",
+                         name.c_str());
+        }
+        mask |= bits;
+    }
+}
+
 /** Trace configuration; constructing it reads WAVE_TRACE. */
 struct TraceState {
     TraceState()
     {
-        const char* env = std::getenv("WAVE_TRACE");
-        if (env == nullptr) return;
-        const std::string spec(env);
-        std::size_t start = 0;
-        while (start <= spec.size()) {
-            std::size_t comma = spec.find(',', start);
-            if (comma == std::string::npos) comma = spec.size();
-            const std::string category = spec.substr(start, comma - start);
-            if (!category.empty()) Enable(category);
-            start = comma + 1;
+        if (const char* env = std::getenv("WAVE_TRACE")) {
+            EnableNamedIn(mask, env);
         }
     }
 
-    void
-    Enable(const std::string& category)
-    {
-        if (category == "all") {
-            all = true;
-        } else {
-            enabled.insert(category);
-        }
-    }
-
-    std::set<std::string> enabled;
-    bool all = false;
+    std::uint32_t mask = 0;  ///< one bit per enabled TraceCategory
     std::atomic<std::uint64_t> emitted{0};
 };
 
@@ -82,48 +97,54 @@ Append(std::string& out, const char* fmt, ...)
 
 }  // namespace
 
-void
-Trace::Enable(const std::string& category)
+const char*
+TraceCategoryName(TraceCategory category)
 {
-    State().Enable(category);
+    return kNames[static_cast<std::size_t>(category)];
 }
 
 void
-Trace::Disable(const std::string& category)
+Trace::Enable(TraceCategory category)
 {
-    if (category == "all") {
-        State().all = false;
-    } else {
-        State().enabled.erase(category);
-    }
+    State().mask |= Bit(category);
+}
+
+void
+Trace::Disable(TraceCategory category)
+{
+    State().mask &= ~Bit(category);
 }
 
 bool
-Trace::Enabled(const std::string& category)
+Trace::Enabled(TraceCategory category)
 {
-    const TraceState& state = State();
-    return state.all || state.enabled.count(category) > 0;
+    return (State().mask & Bit(category)) != 0;
+}
+
+void
+Trace::EnableNamed(const std::string& spec)
+{
+    EnableNamedIn(State().mask, spec);
 }
 
 void
 Trace::Reset()
 {
-    State().enabled.clear();
-    State().all = false;
+    State().mask = 0;
 }
 
 void
-Trace::Emit(const Simulator* sim, const std::string& category,
-            const char* fmt, ...)
+Trace::Emit(const Simulator* sim, TraceCategory category, const char* fmt,
+            ...)
 {
     State().emitted.fetch_add(1, std::memory_order_relaxed);
+    const char* name = TraceCategoryName(category);
     std::string line;
     if (sim != nullptr) {
         Append(line, "%12llu: %s: ",
-               static_cast<unsigned long long>(sim->Now().ns()),
-               category.c_str());
+               static_cast<unsigned long long>(sim->Now().ns()), name);
     } else {
-        Append(line, "           -: %s: ", category.c_str());
+        Append(line, "           -: %s: ", name);
     }
     va_list args;
     va_start(args, fmt);

@@ -2,15 +2,15 @@
  * @file
  * Category-based debug tracing, in the spirit of gem5's DPRINTF.
  *
- * Components emit timestamped trace lines under named categories
- * ("queue", "ghost", "txn", ...). Categories are disabled by default
- * and enabled programmatically or through the WAVE_TRACE environment
- * variable (comma-separated list, or "all"):
+ * Components emit timestamped trace lines under one of the categories
+ * that have trace sites (TraceCategory). Categories are disabled by
+ * default and enabled programmatically or through the WAVE_TRACE
+ * environment variable (comma-separated names, or "all"):
  *
- *     WAVE_TRACE=ghost,txn ./build/examples/quickstart
+ *     WAVE_TRACE=ghost,watchdog ./build/examples/quickstart
  *
- * Tracing compiles in release builds but short-circuits on a single
- * branch when the category is off, so instrumented paths stay cheap.
+ * Tracing compiles in release builds but short-circuits on one bit
+ * test when the category is off, so instrumented paths stay cheap.
  *
  * Simulators on separate threads may trace at once: the environment is
  * read once, under the thread-safe initialisation of the trace state,
@@ -29,26 +29,38 @@ namespace wave::sim {
 
 class Simulator;
 
+/** The categories that have trace sites; each is one bit of the mask. */
+enum class TraceCategory : std::uint8_t {
+    kGhost,       ///< "ghost": kernel commits and preemptions
+    kWatchdog,    ///< "watchdog": watchdog expiries
+    kSupervisor,  ///< "supervisor": agent replacements
+};
+
+/** The name WAVE_TRACE and each emitted line use for @p category. */
+const char* TraceCategoryName(TraceCategory category);
+
 /** Global trace configuration and sink. */
 class Trace {
   public:
-    /** Enables one category ("all" enables everything). */
-    static void Enable(const std::string& category);
+    static void Enable(TraceCategory category);
+    static void Disable(TraceCategory category);
+    static bool Enabled(TraceCategory category);
 
-    /** Disables one category. */
-    static void Disable(const std::string& category);
+    /**
+     * Enables the categories a WAVE_TRACE value names: comma-separated
+     * category names, or "all" for every category. An unknown name
+     * enables nothing and prints one line to stderr.
+     */
+    static void EnableNamed(const std::string& spec);
 
-    /** True if the category (or "all") is enabled. */
-    static bool Enabled(const std::string& category);
-
-    /** Removes every enabled category (tests use this). */
+    /** Disables every category (tests use this). */
     static void Reset();
 
     /**
      * Emits one line: "<time>: <category>: <message>". The simulator
      * pointer supplies the timestamp; pass nullptr outside a sim.
      */
-    static void Emit(const Simulator* sim, const std::string& category,
+    static void Emit(const Simulator* sim, TraceCategory category,
                      const char* fmt, ...)
         __attribute__((format(printf, 3, 4)));
 
@@ -59,7 +71,8 @@ class Trace {
 /**
  * Trace macro: evaluates its arguments only when the category is on.
  *
- *     WAVE_TRACE_EVENT(&sim_, "ghost", "commit tid=%d core=%d", t, c);
+ *     WAVE_TRACE_EVENT(&sim_, sim::TraceCategory::kGhost,
+ *                      "commit tid=%d core=%d", t, c);
  */
 #define WAVE_TRACE_EVENT(sim_ptr, category, ...)                        \
     do {                                                                \

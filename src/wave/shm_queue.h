@@ -17,10 +17,8 @@
 #include <optional>
 #include <vector>
 
-#include "check/coherence.h"
-#include "check/hb.h"
 #include "check/hooks.h"
-#include "check/protocol.h"
+#include "check/stream_end.h"
 #include "sim/actor.h"
 #include "sim/fifo_ring.h"
 #include "sim/simulator.h"
@@ -53,7 +51,9 @@ class ShmQueue {
     ShmQueue(sim::Simulator& sim, std::size_t capacity,
              std::size_t payload_size)
         : sim_(sim), capacity_(capacity), payload_size_(payload_size),
-          items_(capacity)
+          items_(capacity),
+          producer_(check::Domain::kHost, "ShmQueue::Send", "ShmQueue::Send"),
+          consumer_(check::Domain::kHost, "ShmQueue::Poll", "ShmQueue::Poll")
     {
     }
 
@@ -69,27 +69,12 @@ class ShmQueue {
                         message.size(), payload_size_);
             if (items_.Size() >= capacity_) break;
             co_await sim_.Delay(kCosts.write_entry_ns);
+            // Each slot is one shadow line. The fullness check above
+            // read the consumer's progress: the acquire that orders
+            // reusing a slot after its last read. The push publishes.
             WAVE_CHECK_HOOK({
-                if (checker_ != nullptr) {
-                    checker_->OnShmAccess(message.size());
-                }
-                // Each slot is one shadow line. The fullness check
-                // above read the consumer's progress: the acquire that
-                // orders reusing a slot after its last read. The push
-                // is the release.
-                if (hb_ != nullptr) {
-                    hb_->OnAcquire(producer_actor_, this,
-                                   check::HbRaceDetector::kCounterTag);
-                    hb_->OnAccess(producer_actor_, this, SlotOffset(sent_),
-                                  check::HbRaceDetector::kLineSize,
-                                  /*is_write=*/true, "ShmQueue::Send");
-                    hb_->OnRelease(producer_actor_, this, sent_);
-                }
-                if (protocol_ != nullptr) {
-                    protocol_->OnStreamSend(this, sent_,
-                                            check::Domain::kHost,
-                                            "ShmQueue::Send");
-                }
+                producer_.CounterObserved();
+                producer_.SlotPublished(sent_, SlotOffset(sent_), kSlotLine);
             });
             items_.PushBack(message);
             ++sent_;
@@ -133,25 +118,12 @@ class ShmQueue {
     {
         co_await sim_.Delay(kCosts.read_entry_ns);
         out = items_.PopFront();
+        // The pop also publishes the consumer's progress (the counter
+        // the producer's fullness check acquires).
         WAVE_CHECK_HOOK({
-            if (checker_ != nullptr) {
-                checker_->OnShmAccess(out.size());
-            }
-            // The pop publishes the consumer's progress (the counter
-            // release the producer's fullness check acquires).
-            if (hb_ != nullptr) {
-                hb_->OnAcquire(consumer_actor_, this, received_);
-                hb_->OnAccess(consumer_actor_, this, SlotOffset(received_),
-                              check::HbRaceDetector::kLineSize,
-                              /*is_write=*/false, "ShmQueue::Poll");
-                hb_->OnRelease(consumer_actor_, this,
-                               check::HbRaceDetector::kCounterTag);
-            }
-            if (protocol_ != nullptr) {
-                protocol_->OnStreamRecv(this, received_,
-                                        check::Domain::kHost,
-                                        "ShmQueue::Poll");
-            }
+            consumer_.SlotConsumed(received_, SlotOffset(received_),
+                                   kSlotLine);
+            consumer_.CounterPublished();
         });
         ++received_;
     }
@@ -180,39 +152,27 @@ class ShmQueue {
     std::size_t Size() const { return items_.Size(); }
 
     /**
-     * Attaches the wave::check checker. Coherent shared memory cannot
-     * race across the PCIe clock domains, so traffic is only counted —
-     * it shows up in CheckerStats::shm_accesses, confirming a workload
-     * exercised the on-host path.
-     */
-    void AttachChecker(check::CoherenceChecker* checker)
-    {
-        checker_ = checker;
-    }
-
-    /**
-     * Attaches the protocol/HB checkers. The queue is SPSC by design;
-     * each side is bound to one actor. Callers with several producing
-     * contexts serialized by a lock bind them as one actor (a
-     * documented over-approximation, see docs/checker.md). Binding
-     * sizes the detector's state for this ring's capacity.
+     * Attaches the protocol/HB checkers; the coherence checker has
+     * nothing to watch here, since host shared memory is hardware-
+     * coherent. The queue is SPSC by design; each side is bound to one
+     * actor. Callers with several producing contexts serialized by a
+     * lock bind them as one actor (a documented over-approximation,
+     * see docs/checker.md). Binding sizes the detector's state for
+     * this ring's capacity.
      */
     void
-    BindCheckers(check::HbRaceDetector* hb,
-                 check::ProtocolChecker* protocol,
-                 sim::ActorId producer_actor, sim::ActorId consumer_actor)
+    BindCheckers([[maybe_unused]] check::HbRaceDetector* hb,
+                 [[maybe_unused]] check::ProtocolChecker* protocol,
+                 [[maybe_unused]] sim::ActorId producer_actor,
+                 [[maybe_unused]] sim::ActorId consumer_actor)
     {
         WAVE_CHECK_HOOK({
-            if (hb != nullptr) {
-                hb->RegisterSync(this, capacity_);
-                hb->RegisterRegion(
-                    this, 0, capacity_ * check::HbRaceDetector::kLineSize);
-            }
+            const std::size_t bytes = capacity_ * kSlotLine;
+            producer_.Bind(hb, protocol, producer_actor, this, capacity_, 0,
+                           bytes);
+            consumer_.Bind(hb, protocol, consumer_actor, this, capacity_, 0,
+                           bytes);
         });
-        hb_ = hb;
-        protocol_ = protocol;
-        producer_actor_ = producer_actor;
-        consumer_actor_ = consumer_actor;
     }
 
     /** Entries enqueued / dequeued over the queue's lifetime. */
@@ -220,12 +180,14 @@ class ShmQueue {
     std::uint64_t Consumed() const { return received_; }
 
   private:
+    /** Bytes of the shadow line each slot is. */
+    static constexpr std::size_t kSlotLine = check::HbRaceDetector::kLineSize;
+
     /** The shadow line of the slot entry @p seq occupies. */
     std::size_t
     SlotOffset(std::uint64_t seq) const
     {
-        return static_cast<std::size_t>(seq % capacity_) *
-               check::HbRaceDetector::kLineSize;
+        return static_cast<std::size_t>(seq % capacity_) * kSlotLine;
     }
 
     /** Every queue pays the default shared-memory costs. */
@@ -237,11 +199,8 @@ class ShmQueue {
     sim::FifoRing<std::vector<std::byte>> items_;
     std::uint64_t sent_ = 0;      ///< absolute seqnum of next enqueue
     std::uint64_t received_ = 0;  ///< absolute seqnum of next dequeue
-    check::CoherenceChecker* checker_ = nullptr;
-    check::HbRaceDetector* hb_ = nullptr;
-    check::ProtocolChecker* protocol_ = nullptr;
-    sim::ActorId producer_actor_ = sim::kNoActor;
-    sim::ActorId consumer_actor_ = sim::kNoActor;
+    check::StreamEnd producer_;
+    check::StreamEnd consumer_;
 };
 
 }  // namespace wave

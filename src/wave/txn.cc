@@ -88,7 +88,10 @@ struct QueueOps<ShmQueue> {
         return q.Poll();
     }
 
-    /** Coherent memory has no ordering points; its traffic is counted. */
+    /**
+     * Coherent memory has no ordering points, and the coherence checker
+     * does not watch it.
+     */
     static check::CoherenceChecker* Coherence(ShmQueue&) { return nullptr; }
 };
 

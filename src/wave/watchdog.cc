@@ -71,7 +71,7 @@ Watchdog::Monitor()
                                                  "Watchdog::Monitor");
                 }
             });
-            WAVE_TRACE_EVENT(&sim_, "watchdog",
+            WAVE_TRACE_EVENT(&sim_, sim::TraceCategory::kWatchdog,
                              "expired: no decision for %llu ns",
                              static_cast<unsigned long long>(
                                  (sim_.Now() - last_decision_).ns()));

@@ -91,11 +91,6 @@ TEST(AnalyzeFixtures, W003CrossDomainSymbol)
     ExpectDetected("w003_cross_symbol.cc", "W003");
 }
 
-TEST(AnalyzeFixtures, W005UngatedCheckerCall)
-{
-    ExpectDetected("w005_hook_gate.cc", "W005");
-}
-
 TEST(AnalyzeFixtures, W006StaleWithoutReason)
 {
     ExpectDetected("w006_stale_reason.cc", "W006");
@@ -165,6 +160,19 @@ ExpectDetectedOnce(const std::string& fixture, const std::string& rule)
     EXPECT_NE(r.output.find("1 finding"), std::string::npos)
         << fixture << " tripped more than its planted rule:\n"
         << r.output;
+}
+
+TEST(AnalyzeFixtures, W005UngatedCheckerCall)
+{
+    // A bare checker entry point and a bare ring-end report
+    // (check/stream_end.h): one finding each.
+    const RunResult r = AnalyzeFixture("w005_hook_gate.cc");
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_EQ(Count(r.output, "W005:"), 2u) << r.output;
+    EXPECT_NE(r.output.find("w005_hook_gate.cc:24: W005"), std::string::npos)
+        << "the StreamEnd call was not flagged:\n"
+        << r.output;
+    EXPECT_NE(r.output.find("2 findings"), std::string::npos) << r.output;
 }
 
 TEST(AnalyzeFixtures, W201DanglingRefAcrossSuspension)

@@ -20,6 +20,7 @@
 #include "ghost/kernel.h"
 #include "ghost/transport.h"
 #include "machine/machine.h"
+#include "offload/sweep.h"
 #include "rpc/rpc_experiment.h"
 #include "sched/fifo.h"
 #include "sched/shinjuku.h"
@@ -626,6 +627,21 @@ TEST(AgentPass, IdleOffloadAllRpcPassBuildsNoSteeringFrame)
     rpc::SteeringStage steering{
         .queue = std::make_shared<std::deque<workload::Request>>()};
     ExpectIdlePassBudget(/*wave=*/true, 16, rpc::SteeringAuxStage(steering));
+}
+
+TEST(AgentPass, IdleColocatedOffloadPassBuildsNoSliceFrame)
+{
+    // The offload sweep co-locates a slice of its datapath with the
+    // agent, which offers it every pass. With no packet waiting the
+    // slice's adapter returns an empty task, so the pass keeps the two
+    // polls' frames and adds no event. The started pipeline has no
+    // workers, so it schedules nothing on its simulator.
+    Simulator pipeline_sim;
+    offload::OffloadPipeline pipeline(pipeline_sim, offload::PipelineConfig{});
+    pipeline.Start();
+    const sched::FifoPolicy policy;  // an empty run queue: full budget
+    ExpectIdlePassBudget(/*wave=*/true, 16,
+                         offload::ColocatedAuxStage(pipeline, policy));
 }
 
 /** Forwards every call to @p inner. */

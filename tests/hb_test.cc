@@ -10,12 +10,14 @@
  * aliasing bug no protocol edge orders) are caught with both access
  * sites attributed, while the correct single-producer flow — including
  * ring wraparound, where slot reuse is ordered only by the lazy
- * consumed-counter handshake — stays race-free. Last, the bounded sync
+ * consumed-counter handshake — stays race-free. Then the bounded sync
  * tables: a lapped slot still exposes the race, and a ring's table is
- * as large as its registered capacity.
+ * as large as its registered capacity. Last, the exact checker calls
+ * each queue kind makes for a fixed run of messages.
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "channel/mmio_queue.h"
@@ -354,6 +356,105 @@ TEST(HbRaceDetector, LargeRingTableCoversItsCapacityAcrossLaps)
     EXPECT_EQ(hb.Stats().writes, 5000u);
     EXPECT_EQ(hb.Stats().reads, 5000u);
     EXPECT_TRUE(protocol.Violations().empty());
+}
+
+// --- Pinned hook counts -----------------------------------------------
+
+TEST(HbRaceDetector, EveryQueueKindMakesItsPinnedCheckerCalls)
+{
+    // Three laps of a 4-slot ring on each path, with a counter sync
+    // every two entries: every slot is reused and every counter hook
+    // runs. The counts were captured before the queue endpoints moved
+    // onto check::StreamEnd and pin that they make the same calls.
+    constexpr int kMessages = 12;
+    sim::Simulator sim;
+    machine::Machine machine{sim};
+    WaveRuntime runtime{sim, machine, pcie::PcieConfig{},
+                        api::OptimizationConfig::Full()};
+    const channel::QueueConfig qc{
+        .capacity = 4, .payload_size = 32, .sync_interval = 2};
+    HostToNicChannel h2n = runtime.CreateHostToNicQueue(qc);
+    NicToHostChannel n2h = runtime.CreateNicToHostQueue(qc);
+    ShmQueue shm(sim, qc.capacity, qc.payload_size);
+    shm.BindCheckers(runtime.Hb(), runtime.Protocol(),
+                     runtime.Hb()->RegisterActor("shm-producer"),
+                     runtime.Hb()->RegisterActor("shm-consumer"));
+    const auto dma = runtime.CreateDmaQueue(qc, pcie::DmaInitiator::kNic);
+
+    // reads, writes, releases, acquires, stream sends, stream recvs
+    using Counts = std::array<std::uint64_t, 6>;
+    const auto counts = [&] {
+        const check::HbStats& hb = runtime.Hb()->Stats();
+        const check::ProtocolStats& p = runtime.Protocol()->Stats();
+        return Counts{hb.reads,    hb.writes,      hb.releases,
+                      hb.acquires, p.stream_sends, p.stream_recvs};
+    };
+    // Runs one path and returns the counts it added.
+    const auto run = [&](auto make_task) {
+        const Counts before = counts();
+        RunToCompletion(sim, make_task);
+        Counts added = counts();
+        for (std::size_t i = 0; i < added.size(); ++i) {
+            added[i] -= before[i];
+        }
+        return added;
+    };
+    const channel::Bytes msg(qc.payload_size);
+    const std::vector<channel::Bytes> batch{msg};
+
+    const Counts host_to_nic = run([&]() -> sim::Task<> {
+        for (int i = 0; i < kMessages; ++i) {
+            while ((co_await h2n.host->Send(batch)) == 0) {
+                co_await sim.Delay(100);
+            }
+            std::optional<channel::Bytes> got;
+            while (!got.has_value()) got = co_await h2n.nic->Poll();
+        }
+    });
+    const Counts nic_to_host = run([&]() -> sim::Task<> {
+        for (int i = 0; i < kMessages; ++i) {
+            while (!(co_await n2h.nic->Send(msg))) co_await sim.Delay(100);
+            std::optional<channel::Bytes> got;
+            while (!got.has_value()) {
+                got = co_await n2h.host->Poll(/*flush_first=*/true);
+            }
+        }
+    });
+    const Counts shared_memory = run([&]() -> sim::Task<> {
+        for (int i = 0; i < kMessages; ++i) {
+            EXPECT_EQ(co_await shm.Send(batch), 1u);
+            EXPECT_TRUE((co_await shm.Poll()).has_value());
+        }
+    });
+    const Counts dma_queue = run([&]() -> sim::Task<> {
+        for (int i = 0; i < kMessages; ++i) {
+            while ((co_await dma->Send(batch, /*sync=*/true)) == 0) {
+                co_await sim.Delay(100);
+            }
+            std::optional<channel::Bytes> got;
+            while (!(got = co_await dma->Poll()).has_value()) {
+                co_await sim.Delay(100);
+            }
+        }
+    });
+
+    // One payload write and read per message. Releases: one per slot
+    // plus one per counter sync (12 / 2). Acquires: one per slot plus
+    // one per counter read: the host producer refreshes at heads 4 and
+    // 8; the NIC producer's local reads sometimes find the host's
+    // posted counter store still in flight and read again.
+    EXPECT_EQ(host_to_nic, (Counts{12, 12, 18, 14, 12, 12}));
+    EXPECT_EQ(nic_to_host, (Counts{12, 12, 18, 16, 12, 12}));
+    // Every push acquires the counter and every pop releases it.
+    EXPECT_EQ(shared_memory, (Counts{12, 12, 24, 24, 12, 12}));
+    // Protocol only: no detector is bound to a DMA queue.
+    EXPECT_EQ(dma_queue, (Counts{0, 0, 0, 0, 12, 12}));
+    for (const auto& race : runtime.Hb()->Races()) {
+        ADD_FAILURE() << race.Describe();
+    }
+    for (const auto& v : runtime.Protocol()->Violations()) {
+        ADD_FAILURE() << v.Describe();
+    }
 }
 
 }  // namespace

@@ -760,59 +760,90 @@ class TraceTest : public ::testing::Test {
 
 TEST_F(TraceTest, CategoriesAreOffByDefault)
 {
-    EXPECT_FALSE(Trace::Enabled("queue"));
+    EXPECT_FALSE(Trace::Enabled(TraceCategory::kGhost));
+    EXPECT_FALSE(Trace::Enabled(TraceCategory::kWatchdog));
+    EXPECT_FALSE(Trace::Enabled(TraceCategory::kSupervisor));
 }
 
 TEST_F(TraceTest, EnableDisableRoundTrip)
 {
-    Trace::Enable("queue");
-    EXPECT_TRUE(Trace::Enabled("queue"));
-    EXPECT_FALSE(Trace::Enabled("ghost"));
-    Trace::Disable("queue");
-    EXPECT_FALSE(Trace::Enabled("queue"));
+    Trace::Enable(TraceCategory::kGhost);
+    EXPECT_TRUE(Trace::Enabled(TraceCategory::kGhost));
+    EXPECT_FALSE(Trace::Enabled(TraceCategory::kWatchdog));
+    Trace::Disable(TraceCategory::kGhost);
+    EXPECT_FALSE(Trace::Enabled(TraceCategory::kGhost));
 }
 
 TEST_F(TraceTest, AllEnablesEverything)
 {
-    Trace::Enable("all");
-    EXPECT_TRUE(Trace::Enabled("anything"));
-    Trace::Disable("all");
-    EXPECT_FALSE(Trace::Enabled("anything"));
+    Trace::EnableNamed("all");
+    EXPECT_TRUE(Trace::Enabled(TraceCategory::kGhost));
+    EXPECT_TRUE(Trace::Enabled(TraceCategory::kWatchdog));
+    EXPECT_TRUE(Trace::Enabled(TraceCategory::kSupervisor));
+    Trace::Reset();
+    EXPECT_FALSE(Trace::Enabled(TraceCategory::kGhost));
+}
+
+TEST_F(TraceTest, NamedListEnablesEachNamedCategory)
+{
+    // WAVE_TRACE's syntax: names separated by commas, empty ones skipped.
+    Trace::EnableNamed("watchdog,,supervisor");
+    EXPECT_FALSE(Trace::Enabled(TraceCategory::kGhost));
+    EXPECT_TRUE(Trace::Enabled(TraceCategory::kWatchdog));
+    EXPECT_TRUE(Trace::Enabled(TraceCategory::kSupervisor));
+    EXPECT_STREQ(TraceCategoryName(TraceCategory::kSupervisor),
+                 "supervisor");
+}
+
+TEST_F(TraceTest, UnknownNameIsReportedAndEnablesNothing)
+{
+    ::testing::internal::CaptureStderr();
+    Trace::EnableNamed("queue,ghost");
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err,
+              "WAVE_TRACE: ignoring unknown category \"queue\" (known: "
+              "ghost, watchdog, supervisor, all)\n");
+    EXPECT_TRUE(Trace::Enabled(TraceCategory::kGhost));
+    EXPECT_FALSE(Trace::Enabled(TraceCategory::kWatchdog));
 }
 
 TEST_F(TraceTest, MacroShortCircuitsWhenDisabled)
 {
     const auto before = Trace::EmittedCount();
-    WAVE_TRACE_EVENT(nullptr, "off-category", "should not emit %d", 1);
+    WAVE_TRACE_EVENT(nullptr, TraceCategory::kWatchdog, "should not emit %d",
+                     1);
     EXPECT_EQ(Trace::EmittedCount(), before);
 
-    Trace::Enable("on-category");
-    WAVE_TRACE_EVENT(nullptr, "on-category", "emits %d", 1);
+    Trace::Enable(TraceCategory::kGhost);
+    WAVE_TRACE_EVENT(nullptr, TraceCategory::kGhost, "emits %d", 1);
     EXPECT_EQ(Trace::EmittedCount(), before + 1);
 }
 
 TEST_F(TraceTest, EmitsWithSimulatedTimestamp)
 {
-    Trace::Enable("t");
+    Trace::Enable(TraceCategory::kGhost);
     Simulator sim;
     sim.Schedule(123, [&] {
-        WAVE_TRACE_EVENT(&sim, "t", "at 123");
+        WAVE_TRACE_EVENT(&sim, TraceCategory::kGhost, "at 123");
     });
     const auto before = Trace::EmittedCount();
+    ::testing::internal::CaptureStderr();
     sim.Run();
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "         123: ghost: at 123\n");
     EXPECT_EQ(Trace::EmittedCount(), before + 1);
 }
 
 TEST_F(TraceTest, SimulatorsOnTwoThreadsCountEveryLine)
 {
     constexpr int kLines = 200;
-    Trace::Enable("t");
+    Trace::Enable(TraceCategory::kGhost);
     const auto before = Trace::EmittedCount();
     auto run = [] {
         Simulator sim;
         for (int i = 0; i < kLines; ++i) {
             sim.Schedule(i, [&sim, i] {
-                WAVE_TRACE_EVENT(&sim, "t", "line %d", i);
+                WAVE_TRACE_EVENT(&sim, TraceCategory::kGhost, "line %d", i);
             });
         }
         sim.Run();

@@ -37,20 +37,21 @@ const char* const kEndpointFiles[] = {
 
 /**
  * wave::check entry points callable from model code. Mirrors the
- * public API of coherence.h, protocol.h, and hb.h plus attach/bind
- * helpers; extend when adding checker API. (Folded in from the retired
- * tools/lint_hooks.sh.)
+ * public API of coherence.h, protocol.h, hb.h and stream_end.h plus
+ * attach/bind helpers; extend when adding checker API. (Folded in from
+ * the retired tools/lint_hooks.sh.)
  */
 const char* const kCheckerCallRe =
     R"((->|\.)\s*()"
     "OnWrite|OnRead|OnCacheFill|OnCacheDrop|OnWcBuffered|"
-    "OnWcDrained|OnDmaWrite|OnOrderingPoint|OnShmAccess|"
+    "OnWcDrained|OnDmaWrite|OnOrderingPoint|"
     "OnTxnCreated|OnTxnPublished|OnTxnDelivered|OnTxnOutcome|"
     "OnTxnOutcomeObserved|OnStreamSend|OnStreamRecv|"
     "OnTaskState|OnCommitDecision|OnWatchdogArmed|"
     "OnWatchdogExpired|OnWatchdogFed|"
     "OnAccess|OnRelease|OnAcquire|RegisterActor|AllowUnordered|"
     "RegisterSync|RegisterRegion|RegisterWindow|"
+    "Bind|SlotPublished|SlotConsumed|CounterPublished|CounterObserved|"
     "AttachChecker|AttachCheckers|AttachProtocol|AttachHb|"
     "BindCheckers"
     R"()\s*\()";
