@@ -47,10 +47,10 @@ DmaQueue::AttachProtocol([[maybe_unused]] check::ProtocolChecker* protocol)
     WAVE_CHECK_HOOK({
         const std::size_t slots = layout_.Config().capacity;
         const std::size_t bytes = layout_.ConsumedCounterOffset();
-        producer_.Bind(nullptr, protocol, sim::kNoActor, this, slots, 0,
-                       bytes);
-        consumer_.Bind(nullptr, protocol, sim::kNoActor, this, slots, 0,
-                       bytes);
+        producer_.BindRing(nullptr, protocol, sim::kNoActor, this, slots,
+                           0, bytes);
+        consumer_.BindRing(nullptr, protocol, sim::kNoActor, this, slots,
+                           0, bytes);
     });
 }
 

@@ -25,9 +25,9 @@ MmioEndpoint::BindCheckers([[maybe_unused]] check::HbRaceDetector* hb,
                            [[maybe_unused]] check::ProtocolChecker* protocol,
                            [[maybe_unused]] sim::ActorId actor)
 {
-    WAVE_CHECK_HOOK(end_.Bind(hb, protocol, actor, &queue_,
-                              queue_.Layout().Config().capacity,
-                              queue_.Base(), queue_.SlotBytes()));
+    WAVE_CHECK_HOOK(end_.BindRing(hb, protocol, actor, &queue_,
+                                  queue_.Layout().Config().capacity,
+                                  queue_.Base(), queue_.SlotBytes()));
 }
 
 // --- HostProducer ---

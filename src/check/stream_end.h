@@ -42,9 +42,9 @@ class StreamEnd {
      * same sizes the second time.
      */
     void
-    Bind(HbRaceDetector* hb, ProtocolChecker* protocol, sim::ActorId actor,
-         const void* ring, std::size_t slots, std::size_t offset,
-         std::size_t bytes)
+    BindRing(HbRaceDetector* hb, ProtocolChecker* protocol,
+             sim::ActorId actor, const void* ring, std::size_t slots,
+             std::size_t offset, std::size_t bytes)
     {
         hb_ = hb;
         protocol_ = protocol;

@@ -15,6 +15,8 @@ namespace {
 
 /** Category names, indexed by TraceCategory. */
 constexpr const char* kNames[] = {"ghost", "watchdog", "supervisor"};
+static_assert(std::size(kNames) ==
+              1 + static_cast<std::size_t>(TraceCategory::kSupervisor));
 
 std::uint32_t
 Bit(TraceCategory category)
@@ -38,10 +40,12 @@ EnableNamedIn(std::uint32_t& mask, const std::string& spec)
             if (name == kNames[i]) bits |= 1u << i;
         }
         if (bits == 0) {
+            std::string known;
+            for (const char* n : kNames) known.append(n).append(", ");
             std::fprintf(stderr,
                          "WAVE_TRACE: ignoring unknown category \"%s\" "
-                         "(known: ghost, watchdog, supervisor, all)\n",
-                         name.c_str());
+                         "(known: %sall)\n",
+                         name.c_str(), known.c_str());
         }
         mask |= bits;
     }
@@ -97,12 +101,6 @@ Append(std::string& out, const char* fmt, ...)
 
 }  // namespace
 
-const char*
-TraceCategoryName(TraceCategory category)
-{
-    return kNames[static_cast<std::size_t>(category)];
-}
-
 void
 Trace::Enable(TraceCategory category)
 {
@@ -138,7 +136,7 @@ Trace::Emit(const Simulator* sim, TraceCategory category, const char* fmt,
             ...)
 {
     State().emitted.fetch_add(1, std::memory_order_relaxed);
-    const char* name = TraceCategoryName(category);
+    const char* name = kNames[static_cast<std::size_t>(category)];
     std::string line;
     if (sim != nullptr) {
         Append(line, "%12llu: %s: ",

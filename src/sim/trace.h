@@ -36,9 +36,6 @@ enum class TraceCategory : std::uint8_t {
     kSupervisor,  ///< "supervisor": agent replacements
 };
 
-/** The name WAVE_TRACE and each emitted line use for @p category. */
-const char* TraceCategoryName(TraceCategory category);
-
 /** Global trace configuration and sink. */
 class Trace {
   public:

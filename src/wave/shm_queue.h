@@ -168,10 +168,10 @@ class ShmQueue {
     {
         WAVE_CHECK_HOOK({
             const std::size_t bytes = capacity_ * kSlotLine;
-            producer_.Bind(hb, protocol, producer_actor, this, capacity_, 0,
-                           bytes);
-            consumer_.Bind(hb, protocol, consumer_actor, this, capacity_, 0,
-                           bytes);
+            producer_.BindRing(hb, protocol, producer_actor, this,
+                               capacity_, 0, bytes);
+            consumer_.BindRing(hb, protocol, consumer_actor, this,
+                               capacity_, 0, bytes);
         });
     }
 

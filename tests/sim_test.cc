@@ -791,8 +791,6 @@ TEST_F(TraceTest, NamedListEnablesEachNamedCategory)
     EXPECT_FALSE(Trace::Enabled(TraceCategory::kGhost));
     EXPECT_TRUE(Trace::Enabled(TraceCategory::kWatchdog));
     EXPECT_TRUE(Trace::Enabled(TraceCategory::kSupervisor));
-    EXPECT_STREQ(TraceCategoryName(TraceCategory::kSupervisor),
-                 "supervisor");
 }
 
 TEST_F(TraceTest, UnknownNameIsReportedAndEnablesNothing)

@@ -51,7 +51,7 @@ const char* const kCheckerCallRe =
     "OnWatchdogExpired|OnWatchdogFed|"
     "OnAccess|OnRelease|OnAcquire|RegisterActor|AllowUnordered|"
     "RegisterSync|RegisterRegion|RegisterWindow|"
-    "Bind|SlotPublished|SlotConsumed|CounterPublished|CounterObserved|"
+    "BindRing|SlotPublished|SlotConsumed|CounterPublished|CounterObserved|"
     "AttachChecker|AttachCheckers|AttachProtocol|AttachHb|"
     "BindCheckers"
     R"()\s*\()";
